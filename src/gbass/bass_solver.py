@@ -12,18 +12,16 @@ pasted together with the static mass that never moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gaussian import (
     StepFn,
     MonotoneFn,
-    TableFn,
-    invert_increasing,
-    smoothed_isf,
-    _smoothed_quantile_lower,
+    heat_convolve_inverse,
+    mixture_quantiles,
+    smoothed_cdf,
 )
 from .measures import (
     ComponentDecomposition,
@@ -52,21 +50,15 @@ class SolverParams:
     step_tolerance: float = 1e-10
     fit_tolerance: float = 1e-6
     max_iterations: int = 10000
-    gh_nodes: int = 64
 
     def to_dict(self) -> dict:
-        return {
-            "step_tolerance": self.step_tolerance,
-            "fit_tolerance": self.fit_tolerance,
-            "max_iterations": self.max_iterations,
-            "gh_nodes": self.gh_nodes,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SolverParams":
-        return SolverParams(**{k: d[k] for k in
-                               ("step_tolerance", "fit_tolerance",
-                                "max_iterations", "gh_nodes") if k in d})
+        """Read the known fields; other keys (such as a retired gh_nodes) are ignored."""
+        return SolverParams(**{f.name: d[f.name] for f in fields(SolverParams)
+                               if f.name in d})
 
 
 @dataclass(frozen=True)
@@ -113,33 +105,16 @@ def monotone_rearrangement(nu1: GridMeasure, alpha: GridMeasure,
     """
     if nu1.n == 1:
         return StepFn([], nu1.atoms)
-    cum = nu1.cum_weights[:-1]
-    tails = nu1.tail_weights[:-1]
-    thr = np.empty(nu1.n - 1)
-    lower = cum <= 0.5
-    warm = warm_thresholds if warm_thresholds is not None else (None, None)
-    if warm_thresholds is not None:
-        warm = (warm_thresholds[lower], warm_thresholds[~lower])
-    if lower.any():
-        thr[lower] = _smoothed_quantile_lower(alpha, 1.0, cum[lower], x0=warm[0])
-    if (~lower).any():
-        thr[~lower] = smoothed_isf(alpha, 1.0, tails[~lower], x0=warm[1])
+    thr = mixture_quantiles(alpha, 1.0, nu1.cum_weights[:-1], nu1.tail_weights[:-1],
+                            x0=warm_thresholds)
     # repair rounding-level ties so the step representation stays strict
     for i in np.flatnonzero(np.diff(thr) <= 0):
         thr[i + 1] = np.nextafter(thr[i], np.inf)
     return StepFn(thr, nu1.atoms)
 
 
-def _bracket_seed(fn: MonotoneFn) -> tuple[float, float]:
-    if isinstance(fn, StepFn) and fn.thresholds.size:
-        return float(fn.thresholds[0]), float(fn.thresholds[-1])
-    if isinstance(fn, TableFn):
-        return float(fn.xs[0]), float(fn.xs[-1])
-    return 0.0, 0.0
-
-
 def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-11,
-                 n_nodes: int = 64, warm_atoms=None) -> GridMeasure:
+                 warm_atoms=None) -> GridMeasure:
     """Solve (gamma_1 * fn)(a_i) = x_i for each atom x_i of nu0.
 
     The smoothed map is strictly increasing, so the returned atoms inherit
@@ -151,28 +126,7 @@ def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-11,
             f"atom of the initial law outside the open image "
             f"({fn.lower}, {fn.upper}) of the smoothed map; "
             "the pair is not in convex order or the target grid is truncated too tightly")
-
-    def g(a):
-        return fn.heat_convolve(1.0, np.asarray(a, dtype=float), n_nodes)
-
-    def gp(a):
-        return fn.heat_convolve_deriv(1.0, np.asarray(a, dtype=float), n_nodes)
-
-    lo, hi = _bracket_seed(fn)
-    offset = 1.0
-    while g(np.array([lo]))[0] > targets[0]:
-        lo -= offset
-        offset *= 2.0
-        if offset > 1e12:
-            raise ValueError("could not bracket the smallest atom below the smoothed map")
-    offset = 1.0
-    while g(np.array([hi]))[0] < targets[-1]:
-        hi += offset
-        offset *= 2.0
-        if offset > 1e12:
-            raise ValueError("could not bracket the largest atom above the smoothed map")
-
-    atoms = invert_increasing(g, gp, targets, lo, hi, tol=tol, x0=warm_atoms)
+    atoms = heat_convolve_inverse(fn, 1.0, targets, tol=tol, x0=warm_atoms)
     return make_grid_measure(atoms, nu0.weights)
 
 
@@ -180,8 +134,7 @@ def _terminal_level_masses(fn: StepFn, alpha: GridMeasure) -> np.ndarray:
     """Mass that alpha * gamma_1 assigns to each level set of fn (exact)."""
     if fn.thresholds.size == 0:
         return np.array([1.0])
-    z = fn.thresholds[None, :] - alpha.atoms[:, None]
-    mix_cdf = alpha.weights @ ndtr(z)
+    mix_cdf = smoothed_cdf(alpha, 1.0, fn.thresholds)
     return np.diff(np.concatenate([[0.0], mix_cdf, [1.0]]))
 
 
@@ -213,8 +166,7 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
     while iterations < params.max_iterations:
         fn = monotone_rearrangement(nu1, alpha, warm_thresholds=thr_warm)
         thr_warm = fn.thresholds
-        new_alpha = update_alpha(nu0, fn, n_nodes=params.gh_nodes,
-                                 warm_atoms=alpha.atoms)
+        new_alpha = update_alpha(nu0, fn, warm_atoms=alpha.atoms)
         iterations += 1
         step = wasserstein1(new_alpha, alpha)
         alpha = new_alpha

@@ -286,6 +286,9 @@ def run(argv) -> int:
             json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, FloatingPointError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -8,14 +8,15 @@ values for given reference volatility levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtr
 
 from .bass_solver import BassSolution
-from .measures import GridMeasure, moment, quantile
+from .gaussian import mixture_quantiles
+from .measures import GridMeasure, _panels, moment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .geometric_bridge import GeometricSolution
@@ -23,10 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def max_covariance(eta: GridMeasure, rho: GridMeasure) -> float:
     """Largest E[XY] over couplings; the comonotone quantile pairing, exact."""
-    edges = np.unique(np.concatenate([
-        eta.cum_weights[:-1], rho.cum_weights[:-1], [0.0, 1.0]]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return float(np.diff(edges) @ (quantile(eta, mids) * quantile(rho, mids)))
+    du, qe, qr = _panels(eta, rho)
+    return float(du @ (qe * qr))
 
 
 def _mixture_partial_mean(alpha: GridMeasure, s: float, x: np.ndarray) -> np.ndarray:
@@ -49,16 +48,7 @@ def max_covariance_smoothed(eta: GridMeasure, alpha: GridMeasure, s: float) -> f
     """
     if s <= 0:
         raise ValueError(f"variance must be positive, got {s}")
-    from .gaussian import smoothed_isf, _smoothed_quantile_lower
-
-    cum = eta.cum_weights[:-1]
-    tails = eta.tail_weights[:-1]
-    cuts = np.empty(eta.n - 1)
-    lower = cum <= 0.5
-    if lower.any():
-        cuts[lower] = _smoothed_quantile_lower(alpha, s, cum[lower])
-    if (~lower).any():
-        cuts[~lower] = smoothed_isf(alpha, s, tails[~lower])
+    cuts = mixture_quantiles(alpha, s, eta.cum_weights[:-1], eta.tail_weights[:-1])
     bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
     partial = np.diff(_mixture_partial_mean(alpha, s, bounds))
     return float(eta.atoms @ partial)
@@ -108,18 +98,7 @@ class ValueReport:
     Sigma_bar: float
 
     def to_dict(self) -> dict:
-        return {
-            "geometric_primal": self.geometric_primal,
-            "arithmetic_primal": self.arithmetic_primal,
-            "dual_value": self.dual_value,
-            "duality_gap": self.duality_gap,
-            "geometric_objective": self.geometric_objective,
-            "arithmetic_objective": self.arithmetic_objective,
-            "log_moment_diff": self.log_moment_diff,
-            "second_moment_diff": self.second_moment_diff,
-            "sigma_bar": self.sigma_bar,
-            "Sigma_bar": self.Sigma_bar,
-        }
+        return asdict(self)
 
 
 def make_value_report(gsol: "GeometricSolution", sigma_bar: float,

@@ -3,7 +3,11 @@
 Provides the Gaussian distribution primitives, CDF/quantile of a Gaussian
 mixture over an atomic measure, and the heat-kernel convolution F * gamma_s
 (with spatial derivative) for monotone functions, exact for step functions
-and Gauss-Hermite elsewhere.
+and Gauss-Hermite elsewhere. Three routines are the single home of what the
+package builds on: ``_gauss_sum`` is the one dense sweep
+sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, ``mixture_quantiles`` the
+one quantile split of alpha * gamma_s (CDF below one half, survival function
+above), and ``heat_convolve_inverse`` the one bracketed inverse of fn * gamma_s.
 """
 
 from __future__ import annotations
@@ -11,12 +15,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, roots_hermitenorm
 
 from .measures import GridMeasure
 
 DEFAULT_GH_NODES = 64
+_CHUNK = 4096
 
 
 def gauss_pdf(x, s: float = 1.0):
@@ -44,11 +48,31 @@ def gauss_quantile(u, s: float = 1.0):
 @lru_cache(maxsize=32)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and probability weights integrating against the standard Gaussian."""
-    nodes, weights = hermegauss(n)
+    nodes, weights = roots_hermitenorm(n)
+    if not np.all(np.isfinite(weights)):
+        raise FloatingPointError(f"Gauss-Hermite weights are not finite at n = {n}")
     weights = weights / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
+               density: bool = False) -> np.ndarray:
+    """sum_j weights[j] * Phi((x - centers[j]) / sqrt(s)), or the density sum.
+
+    The result is shaped like np.atleast_1d(x). Rows go in chunks and each
+    kernel block stays unnamed, so one block at a time is alive.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = x.ravel()
+    out = np.empty_like(xs)
+    root = np.sqrt(s)
+    for i in range(0, xs.size, _CHUNK):
+        z = (xs[i:i + _CHUNK, None] - centers[None, :]) / root
+        out[i:i + _CHUNK] = (np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * s) if density
+                             else ndtr(z)) @ weights
+    return out.reshape(x.shape)
 
 
 def smoothed_cdf(alpha: GridMeasure, s: float, x):
@@ -56,8 +80,7 @@ def smoothed_cdf(alpha: GridMeasure, s: float, x):
     if s <= 0:
         raise ValueError(f"variance must be positive, got {s}")
     x = np.asarray(x, dtype=float)
-    z = (np.atleast_1d(x)[:, None] - alpha.atoms[None, :]) / np.sqrt(s)
-    out = ndtr(z) @ alpha.weights
+    out = _gauss_sum(x, alpha.atoms, alpha.weights, s)
     return float(out[0]) if x.ndim == 0 else out
 
 
@@ -66,14 +89,13 @@ def smoothed_sf(alpha: GridMeasure, s: float, x):
     if s <= 0:
         raise ValueError(f"variance must be positive, got {s}")
     x = np.asarray(x, dtype=float)
-    z = (alpha.atoms[None, :] - np.atleast_1d(x)[:, None]) / np.sqrt(s)
-    out = ndtr(z) @ alpha.weights
+    # P(X > x) = P(-X < -x): the CDF sweep of the reflected mixture
+    out = _gauss_sum(-x, -alpha.atoms, alpha.weights, s)
     return float(out[0]) if x.ndim == 0 else out
 
 
 def _mixture_pdf(alpha: GridMeasure, s: float, x: np.ndarray) -> np.ndarray:
-    z = (x[:, None] - alpha.atoms[None, :]) / np.sqrt(s)
-    return (np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * s)) @ alpha.weights
+    return _gauss_sum(x, alpha.atoms, alpha.weights, s, density=True)
 
 
 def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 200,
@@ -121,32 +143,41 @@ def smoothed_quantile(alpha: GridMeasure, s: float, u):
     uu = np.atleast_1d(u).astype(float)
     if np.any((uu <= 0) | (uu >= 1)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
-    out = np.empty_like(uu)
-    lower = uu <= 0.5
-    if lower.any():
-        out[lower] = _smoothed_quantile_lower(alpha, s, uu[lower])
-    if (~lower).any():
-        out[~lower] = smoothed_isf(alpha, s, 1.0 - uu[~lower])
+    out = mixture_quantiles(alpha, s, uu, 1.0 - uu)
     return float(out[0]) if u.ndim == 0 else out
 
 
-def _moment_matched_guess(alpha: GridMeasure, s: float, z: np.ndarray) -> np.ndarray:
-    var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
-    return alpha.mean + np.sqrt(s + var) * z
+def _invert_mixture(alpha: GridMeasure, s: float, f, targets: np.ndarray, z: np.ndarray,
+                    x0=None) -> np.ndarray:
+    """Solve f(x) = targets for f the mixture CDF or minus its survival function.
 
-
-def _smoothed_quantile_lower(alpha: GridMeasure, s: float, u: np.ndarray,
-                             x0=None) -> np.ndarray:
+    z is each level's standard score: a + sqrt(s) z at the end atoms brackets the root.
+    """
     root = np.sqrt(s)
-    z = ndtri(u)
-    lo = alpha.atoms[0] + root * z
-    hi = alpha.atoms[-1] + root * z
     if x0 is None:
-        x0 = _moment_matched_guess(alpha, s, z)
-    return invert_increasing(
-        lambda x: smoothed_cdf(alpha, s, x),
-        lambda x: _mixture_pdf(alpha, s, x),
-        u, lo, hi, tol=1e-13, x0=x0)
+        var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
+        x0 = alpha.mean + np.sqrt(s + var) * z
+    return invert_increasing(f, lambda x: _mixture_pdf(alpha, s, x), targets,
+                             alpha.atoms[0] + root * z, alpha.atoms[-1] + root * z,
+                             tol=1e-13, x0=x0)
+
+
+def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.ndarray,
+                      x0=None) -> np.ndarray:
+    """Points where alpha * gamma_s has lower mass cum and upper mass tails (= 1 - cum).
+
+    Levels with cum <= 1/2 are solved on the CDF, the rest on the survival
+    function, and a warm start x0 is split the same way.
+    """
+    out = np.empty(cum.shape)
+    lower = cum <= 0.5
+    warm = (None, None) if x0 is None else (x0[lower], x0[~lower])
+    if lower.any():
+        out[lower] = _invert_mixture(alpha, s, lambda x: smoothed_cdf(alpha, s, x),
+                                     cum[lower], ndtri(cum[lower]), warm[0])
+    if (~lower).any():
+        out[~lower] = smoothed_isf(alpha, s, tails[~lower], x0=warm[1])
+    return out
 
 
 def smoothed_isf(alpha: GridMeasure, s: float, tail, x0=None):
@@ -155,16 +186,8 @@ def smoothed_isf(alpha: GridMeasure, s: float, tail, x0=None):
     tt = np.atleast_1d(tail).astype(float)
     if np.any((tt <= 0) | (tt >= 1)):
         raise ValueError("tail mass must lie strictly inside (0, 1)")
-    root = np.sqrt(s)
-    z = ndtri(tt)  # survival tail t at atom a sits at a - sqrt(s)*ndtri(t)
-    lo = alpha.atoms[0] - root * z
-    hi = alpha.atoms[-1] - root * z
-    if x0 is None:
-        x0 = _moment_matched_guess(alpha, s, -z)
-    out = invert_increasing(
-        lambda x: -smoothed_sf(alpha, s, x),
-        lambda x: _mixture_pdf(alpha, s, x),
-        -tt, lo, hi, tol=1e-13, x0=x0)
+    # survival tail t at atom a sits at a - sqrt(s)*ndtri(t)
+    out = _invert_mixture(alpha, s, lambda x: -smoothed_sf(alpha, s, x), -tt, -ndtri(tt), x0)
     return float(out[0]) if tail.ndim == 0 else out
 
 
@@ -236,40 +259,23 @@ class StepFn(MonotoneFn):
         out = self.levels[idx]
         return float(out) if out.ndim == 0 else out
 
-    def heat_convolve(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES,
-                      chunk: int = 4096):
+    def heat_convolve(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
         if s < 0:
             raise ValueError(f"variance must be nonnegative, got {s}")
         x = np.asarray(x, dtype=float)
         if s == 0 or self.thresholds.size == 0:
             return self(x)
-        xs = np.atleast_1d(x).ravel()
-        out = np.empty_like(xs)
-        root = np.sqrt(s)
-        for i in range(0, xs.size, chunk):
-            block = xs[i:i + chunk]
-            z = (block[:, None] - self.thresholds[None, :]) / root
-            out[i:i + chunk] = self.levels[0] + ndtr(z) @ self.jumps
-        out = out.reshape(np.atleast_1d(x).shape)
+        out = self.levels[0] + _gauss_sum(x, self.thresholds, self.jumps, s)
         return float(out[0]) if x.ndim == 0 else out
 
-    def heat_convolve_deriv(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES,
-                            chunk: int = 4096):
+    def heat_convolve_deriv(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
         if s <= 0:
             raise ValueError(f"variance must be positive, got {s}")
         x = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(x).ravel()
         if self.thresholds.size == 0:
-            out = np.zeros_like(xs)
+            out = np.zeros(np.atleast_1d(x).shape)
         else:
-            out = np.empty_like(xs)
-            root = np.sqrt(s)
-            for i in range(0, xs.size, chunk):
-                block = xs[i:i + chunk]
-                z = (block[:, None] - self.thresholds[None, :]) / root
-                dens = np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * s)
-                out[i:i + chunk] = dens @ self.jumps
-        out = out.reshape(np.atleast_1d(x).shape)
+            out = _gauss_sum(x, self.thresholds, self.jumps, s, density=True)
         return float(out[0]) if x.ndim == 0 else out
 
 
@@ -318,3 +324,40 @@ def heat_convolve(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
 def heat_convolve_deriv(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
     """Spatial derivative of the Gaussian smoothing; nonnegative for monotone fn."""
     return fn.heat_convolve_deriv(s, x, n_nodes)
+
+
+def heat_convolve_span(fn: MonotoneFn, s: float) -> tuple[float, float]:
+    """fn's own span (its thresholds' or abscissae's range, else 0) padded by 9 sqrt(s)."""
+    if isinstance(fn, StepFn) and fn.thresholds.size:
+        lo, hi = fn.thresholds[0], fn.thresholds[-1]
+    elif isinstance(fn, TableFn):
+        lo, hi = fn.xs[0], fn.xs[-1]
+    else:
+        lo = hi = 0.0
+    pad = 9.0 * np.sqrt(s)
+    return float(lo - pad), float(hi + pad)
+
+
+def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> np.ndarray:
+    """Solve (fn * gamma_s)(x) = y componentwise for y inside fn's open image.
+
+    The bracket starts at heat_convolve_span; each end that does not yet
+    enclose the targets moves out by 1, 2, 4, ... until it does, and a step
+    past 1e12 raises ValueError.
+    """
+    y = np.asarray(y, dtype=float)
+    y_min, y_max = np.min(y), np.max(y)
+    lo, hi = heat_convolve_span(fn, s)
+    step = 1.0
+    while True:
+        f_lo, f_hi = fn.heat_convolve(s, np.array([lo, hi]))
+        if f_lo <= y_min and f_hi >= y_max:
+            break
+        if step > 1e12:
+            raise ValueError("could not bracket the targets inside the smoothed map")
+        lo -= step if f_lo > y_min else 0.0
+        hi += step if f_hi < y_max else 0.0
+        step *= 2.0
+    return invert_increasing(lambda x: fn.heat_convolve(s, x),
+                             lambda x: fn.heat_convolve_deriv(s, x),
+                             y, lo, hi, tol=tol, x0=x0)

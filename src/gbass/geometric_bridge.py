@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bass_solver import (
     BassSolution,
@@ -19,7 +18,7 @@ from .bass_solver import (
     _terminal_level_masses,
     solve_decomposed,
 )
-from .gaussian import invert_increasing
+from .gaussian import gauss_hermite, heat_convolve_inverse
 from .measures import (
     GridMeasure,
     MeasureError,
@@ -105,14 +104,6 @@ def solve_geometric(mu0: GridMeasure, mu1: GridMeasure,
     return GeometricSolution(m, mu0, mu1, nu0, nu1, bass, comp_map)
 
 
-def _gaussian_bin_means(n_bins: int) -> np.ndarray:
-    """Conditional means of a standard Gaussian on its n equal-mass bins."""
-    edges = ndtri(np.arange(1, n_bins) / n_bins)
-    dens = np.exp(-edges * edges / 2.0) / np.sqrt(2.0 * np.pi)
-    dens = np.concatenate([[0.0], dens, [0.0]])
-    return (dens[:-1] - dens[1:]) * n_bins
-
-
 def _compact(atoms: np.ndarray, weights: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Merge adjacent atoms into at most max_atoms barycenters, mass preserving."""
     order = np.argsort(atoms)
@@ -133,10 +124,11 @@ def marginal_flow(gsol: GeometricSolution, t: float,
                   flow_grid_max: int = FLOW_GRID_MAX) -> GridMeasure:
     """Law of the price at time t.
 
-    The driving law at time t is quantized by equal-mass Gaussian bins around
-    each initial atom (conditional means, so the mean is kept exactly), pushed
-    through the smoothed generating function, and reflected back through
-    s = m / y with the density weighting y.
+    The driving law at time t is quantized by Gauss-Hermite nodes around each
+    initial atom, pushed through the smoothed generating function, and
+    reflected back through s = m / y with the density weighting y. The nodes
+    integrate fn * gamma_{1-t} against the Gaussian, so the mean m is kept to
+    quadrature accuracy.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
@@ -154,11 +146,10 @@ def marginal_flow(gsol: GeometricSolution, t: float,
             vals = csol.fn.heat_convolve(1.0, csol.alpha.atoms)
             w = csol.alpha.weights * comp.mass
         else:
-            n_bins = max(16, flow_grid_max // max(n_alpha, 1))
-            offsets = np.sqrt(t) * _gaussian_bin_means(n_bins)
-            nodes = (csol.alpha.atoms[:, None] + offsets[None, :]).ravel()
+            gh_nodes, gh_weights = gauss_hermite(max(12, flow_grid_max // (2 * n_alpha)))
+            nodes = (csol.alpha.atoms[:, None] + np.sqrt(t) * gh_nodes[None, :]).ravel()
             vals = csol.fn.heat_convolve(1.0 - t, nodes)
-            w = np.repeat(csol.alpha.weights / n_bins, n_bins) * comp.mass
+            w = np.outer(csol.alpha.weights, gh_weights).ravel() * comp.mass
         atoms_parts.append(np.atleast_1d(vals))
         weights_parts.append(np.atleast_1d(w))
 
@@ -191,20 +182,5 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float,
         raise ValueError(
             f"price {s} outside the open range of component {component_index}")
     var = 1.0 - t
-    root = np.sqrt(var)
-    thr = csol.fn.thresholds
-    lo = (thr[0] if thr.size else 0.0) - 9.0 * root
-    hi = (thr[-1] if thr.size else 0.0) + 9.0 * root
-    step = 1.0
-    while csol.fn.heat_convolve(var, np.array([lo]))[0] > target:
-        lo -= step
-        step *= 2.0
-    step = 1.0
-    while csol.fn.heat_convolve(var, np.array([hi]))[0] < target:
-        hi += step
-        step *= 2.0
-    x_star = invert_increasing(
-        lambda x: csol.fn.heat_convolve(var, x),
-        lambda x: csol.fn.heat_convolve_deriv(var, x),
-        np.array([target]), lo, hi, tol=1e-12)[0]
+    x_star = heat_convolve_inverse(csol.fn, var, np.array([target]), tol=1e-12)[0]
     return float(s / gsol.m * csol.fn.heat_convolve_deriv(var, x_star))

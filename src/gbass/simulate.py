@@ -9,7 +9,7 @@ reproducible independently of chunking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -17,7 +17,7 @@ from scipy.special import ndtri
 
 from .bass_solver import BassSolution
 from .geometric_bridge import GeometricSolution
-from .gaussian import StepFn
+from .gaussian import StepFn, heat_convolve_span
 from .measures import GridMeasure, make_grid_measure, quantile, wasserstein1
 
 _CHUNK = 16384
@@ -185,15 +185,11 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
         paths[start:stop, 0] = quantile(mu0_restricted, block[:, 0])
         incr[start:stop] = ndtri(block[:, 1:]) * sqrt_dt[None, :]
 
-    thr = csol.fn.thresholds
     clamps = 0
     state = np.clip(paths[:, 0], s_lo, s_hi)
     paths[:, 0] = state
     for k in range(k_steps):
-        root = np.sqrt(1.0 - grid[k])
-        glo = (thr[0] if thr.size else 0.0) - 9.0 * root
-        ghi = (thr[-1] if thr.size else 0.0) + 9.0 * root
-        xg = np.linspace(glo, ghi, table_size)
+        xg = np.linspace(*heat_convolve_span(csol.fn, 1.0 - grid[k]), table_size)
         vals = csol.fn.heat_convolve(1.0 - grid[k], xg)
         slopes = csol.fn.heat_convolve_deriv(1.0 - grid[k], xg)
         x_star = np.interp(m / state, vals, xg)
@@ -230,19 +226,8 @@ class SimulationStats:
     clamp_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "time_grid": self.time_grid.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-            "weight_mean": self.weight_mean,
-            "weight_se": self.weight_se,
-            "w1_initial": self.w1_initial,
-            "w1_terminal": self.w1_terminal,
-            "log_qv_mean": self.log_qv_mean,
-            "log_qv_se": self.log_qv_se,
-            "martingale_tests": {k: list(v) for k, v in self.martingale_tests.items()},
-            "clamp_count": self.clamp_count,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in asdict(self).items()}
 
 
 def ensemble_stats(ens: PathEnsemble, reference_marginals=None,

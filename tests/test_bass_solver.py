@@ -206,8 +206,13 @@ class TestEvalSurface:
 class TestSolverParams:
     def test_json_round_trip(self):
         params = g.SolverParams(step_tolerance=1e-9, fit_tolerance=1e-5,
-                                max_iterations=123, gh_nodes=32)
+                                max_iterations=123)
         assert g.SolverParams.from_dict(params.to_dict()) == params
+
+    def test_retired_key_ignored(self):
+        # configs written before gh_nodes was removed still load
+        params = g.SolverParams.from_dict({"gh_nodes": 32, "max_iterations": 123})
+        assert params == g.SolverParams(max_iterations=123)
 
     def test_partial_dict(self):
         params = g.SolverParams.from_dict({"max_iterations": 7})

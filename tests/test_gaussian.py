@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gbass as g
-from gbass.gaussian import smoothed_isf, smoothed_sf
+from gbass.gaussian import (
+    gauss_hermite,
+    heat_convolve_inverse,
+    mixture_quantiles,
+    smoothed_isf,
+    smoothed_sf,
+)
 from _oracles import central_difference, normal_cdf_series
 
 
@@ -215,3 +221,58 @@ class TestStepFn:
         step = g.StepFn([0.0], [0.5, 2.0])
         assert step.lower == 0.5
         assert step.upper == 2.0
+
+
+class TestGaussHermite:
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_large_rules_integrate_moments(self, n):
+        nodes, weights = gauss_hermite(n)
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert weights @ nodes ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert weights @ nodes ** 4 == pytest.approx(3.0, abs=1e-12)
+
+
+class TestMixtureQuantiles:
+    alpha = g.make_grid_measure([-1.3, -0.2, 0.4, 2.5, 3.1], [0.1, 0.3, 0.2, 0.25, 0.15])
+
+    def levels(self):
+        eta = g.make_grid_measure(np.arange(12.0), [1e-12, 0.05, 0.1, 0.1, 0.2, 0.05,
+                                                    0.1, 0.1, 0.1, 0.1, 0.1, 1e-12])
+        return eta.cum_weights[:-1], eta.tail_weights[:-1]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_lower_on_cdf_upper_on_sf(self, warm):
+        s = 0.6
+        cum, tails = self.levels()
+        x0 = mixture_quantiles(self.alpha, s, cum, tails) + 0.05 if warm else None
+        q = mixture_quantiles(self.alpha, s, cum, tails, x0=x0)
+        lower = cum <= 0.5
+        assert lower.any() and (~lower).any()
+        assert np.all(np.diff(q) > 0)
+        assert np.max(np.abs(g.smoothed_cdf(self.alpha, s, q[lower]) - cum[lower])) < 2e-13
+        assert np.max(np.abs(smoothed_sf(self.alpha, s, q[~lower]) - tails[~lower])) < 2e-13
+
+
+class TestHeatConvolveInverse:
+    @pytest.mark.parametrize("fn, s", [
+        (g.StepFn([-1.0, 0.5, 2.0], [0.0, 1.0, 1.5, 4.0]), 0.7),
+        (g.TableFn([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]), 0.5),
+        (g.CallableFn(np.tanh, -1.0, 1.0), 0.5),
+    ])
+    def test_round_trip(self, fn, s):
+        span = fn.upper - fn.lower
+        targets = np.concatenate([
+            fn.lower + span * np.array([1e-6, 1e-3]),
+            np.linspace(fn.lower, fn.upper, 9)[1:-1],
+            fn.upper - span * np.array([1e-3, 1e-6])])
+        x = heat_convolve_inverse(fn, s, targets, tol=1e-12)
+        assert np.all(np.diff(x) > 0)
+        assert np.max(np.abs(g.heat_convolve(fn, s, x) - targets)) <= 1e-12
+
+    def test_target_outside_image_rejected(self):
+        step = g.StepFn([0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="bracket"):
+            heat_convolve_inverse(step, 0.5, np.array([2.0]), tol=1e-12)
+        with pytest.raises(ValueError, match="bracket"):
+            heat_convolve_inverse(step, 0.5, np.array([-1.0]), tol=1e-12)

@@ -1,0 +1,33 @@
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gbass as g
+from gbass.cli import build_marginals
+
+SIGMA = math.sqrt(0.12)
+
+
+@pytest.fixture(scope="module")
+def bench_201():
+    """The benchmark's lognormal pair at 201 atoms; its Bass martingale is GBM."""
+    config = {
+        "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": 201},
+        "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "grid_size": 201},
+    }
+    return g.solve_geometric(*build_marginals(config, Path(".")))
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 0.75, 0.9])
+def test_flow_keeps_martingale_mean(bench_201, t):
+    assert abs(g.marginal_flow(bench_201, t).mean - bench_201.m) <= 1e-6
+
+
+def test_sde_volatility_matches_gbm(bench_201):
+    times = np.linspace(0.1, 0.9, 9)
+    scores = np.linspace(-2.0, 2.0, 9)
+    vols = [g.sde_volatility(bench_201, 0, t, math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t))
+            for t in times for z in scores]
+    assert np.max(np.abs(np.array(vols) - SIGMA)) <= 1e-2
