@@ -113,12 +113,16 @@ def monotone_rearrangement(nu1: GridMeasure, alpha: GridMeasure,
     return StepFn(thr, nu1.atoms)
 
 
-def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-11,
+def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-13,
                  warm_atoms=None) -> GridMeasure:
     """Solve (gamma_1 * fn)(a_i) = x_i for each atom x_i of nu0.
 
     The smoothed map is strictly increasing, so the returned atoms inherit
-    nu0's order; weights are copied from nu0.
+    nu0's order; weights are copied from nu0. Each atom is returned at the
+    first iterate meeting tol, so tol is the accuracy delivered. The 1e-13
+    default is the tolerance of monotone_rearrangement's mixture quantiles:
+    a looser one would let this inversion, not the fixed point, set the
+    solver's residuals.
     """
     targets = nu0.atoms
     if targets[0] <= fn.lower or targets[-1] >= fn.upper:

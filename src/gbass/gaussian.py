@@ -106,31 +106,41 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     whenever the step leaves the bracket or the derivative degenerates.
     Brackets must be valid on entry: f(lo) <= target <= f(hi). A warm start
     x0 (clipped into the bracket) makes repeated nearby solves near-free.
+
+    Each step calls f and then fprime on the rows still open only, as a 1-D
+    array, so both must act componentwise. A row closes at its first iterate
+    with |f(x) - target| <= tol and is returned at that verified iterate.
+    If max_iter runs out, open rows are returned at their last evaluated
+    iterate, and RuntimeError is raised when one misses max(tol, 1e-9).
     """
     targets = np.asarray(targets, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).copy()
+    t = targets.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).ravel()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).ravel()
     if x0 is None:
         x = 0.5 * (lo + hi)
     else:
-        x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    err = None
+        x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
+    out = np.empty_like(t)
+    rows = np.arange(t.size)
+    err = np.full(t.size, np.inf)
     for _ in range(max_iter):
-        fx = f(x)
-        err = fx - targets
-        if np.all(np.abs(err) <= tol):
-            return x
+        err = f(x) - t
+        out[rows] = x  # each row's last evaluated iterate
+        keep = ~(np.abs(err) <= tol)
+        if not keep.any():
+            return out.reshape(targets.shape)
+        rows, x, t, lo, hi, err = (a[keep] for a in (rows, x, t, lo, hi, err))
         hi = np.where(err >= 0, x, hi)
         lo = np.where(err <= 0, x, lo)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = err / fprime(x)
-            cand = x - step
+            cand = x - err / fprime(x)
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
         x = np.where(bad, 0.5 * (lo + hi), cand)
     worst = float(np.max(np.abs(err)))
     if worst > max(tol, 1e-9):
         raise RuntimeError(f"monotone inversion stalled, residual {worst:.3e}")
-    return x
+    return out.reshape(targets.shape)
 
 
 def smoothed_quantile(alpha: GridMeasure, s: float, u):

@@ -6,6 +6,7 @@ import gbass as g
 from gbass.gaussian import (
     gauss_hermite,
     heat_convolve_inverse,
+    invert_increasing,
     mixture_quantiles,
     smoothed_isf,
     smoothed_sf,
@@ -276,3 +277,123 @@ class TestHeatConvolveInverse:
             heat_convolve_inverse(step, 0.5, np.array([2.0]), tol=1e-12)
         with pytest.raises(ValueError, match="bracket"):
             heat_convolve_inverse(step, 0.5, np.array([-1.0]), tol=1e-12)
+
+
+class CountingFn:
+    """Componentwise f that records a copy of each array it is called on."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x, copy=True))
+        return self.f(x)
+
+
+def cube(x):
+    return x ** 3 + x
+
+
+def cube_prime(x):
+    return 3.0 * x ** 2 + 1.0
+
+
+class TestInvertIncreasing:
+    tol = 1e-13
+    # warm starts at a root, near one, and far off, so rows close at different steps
+    roots = np.array([0.5, -1.25, 0.75, 2.0, -3.0, 1.5, -0.1, 0.3])
+    x0 = roots + np.array([0.0, 0.0, 1e-9, 1e-6, 0.5, 2.0, -2.5, 3.0])
+
+    def solve(self, f, rows=slice(None)):
+        return invert_increasing(f, cube_prime, cube(self.roots[rows]), -5.0, 5.0,
+                                 self.tol, x0=self.x0[rows])
+
+    def test_every_row_meets_tol(self):
+        x = self.solve(cube)
+        assert np.all(np.abs(cube(x) - cube(self.roots)) <= self.tol)
+
+    def test_only_open_rows_are_evaluated(self):
+        batch = CountingFn(cube)
+        self.solve(batch)
+        # a row's iterates do not depend on the others, so solving it alone
+        # gives the number of steps it stays open in the batch
+        open_steps = []
+        for i in range(self.roots.size):
+            single = CountingFn(cube)
+            self.solve(single, slice(i, i + 1))
+            open_steps.append(len(single.calls))
+        open_steps = np.array(open_steps)
+        sizes = [c.size for c in batch.calls]
+        assert len(sizes) == open_steps.max()
+        assert sizes == [int(np.sum(open_steps > k)) for k in range(len(sizes))]
+        assert sum(sizes) == open_steps.sum()
+        assert sum(sizes) < self.roots.size * len(sizes)
+
+    def test_root_start_evaluated_once_and_returned_unchanged(self):
+        f = CountingFn(cube)
+        x = self.solve(f)
+        assert len(f.calls) > 1
+        assert x[0] == self.x0[0]
+        assert sum(int(np.sum(c == self.x0[0])) for c in f.calls) == 1
+
+    def test_exhaustion_returns_last_evaluated_iterate(self):
+        # the NaN slope forces a bisection step that is never evaluated
+        x0 = np.array([0.3 + 1e-10])
+        x = invert_increasing(lambda x: x, lambda x: np.full_like(x, np.nan),
+                              np.array([0.3]), -1.0, 1.0, tol=1e-12, max_iter=1, x0=x0)
+        assert x[0] == x0[0]
+
+    def test_exhaustion_judges_the_returned_iterate(self):
+        with pytest.raises(RuntimeError, match="stalled"):
+            invert_increasing(lambda x: x, lambda x: np.full_like(x, np.nan),
+                              np.array([0.3]), -1.0, 1.0, tol=1e-12, max_iter=1,
+                              x0=np.array([0.3 + 1e-6]))
+
+
+class TestResidualContract:
+    """Every returned row meets tol, deep in both tails, cold and warm."""
+
+    tol = 1e-13
+
+    @staticmethod
+    def tail_levels(rng, n=14):
+        return 10.0 ** rng.uniform(-14.0, -1.0, n)
+
+    @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
+    def test_mixture_quantiles(self, s):
+        rng = np.random.default_rng(int(s * 1e4) + 17)
+        for _ in range(4):
+            n = int(rng.integers(1, 30))
+            alpha = g.make_grid_measure(rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 1.0, n))
+            low, high = self.tail_levels(rng), self.tail_levels(rng)
+            cum = np.concatenate([low, rng.uniform(0.1, 0.9, 6), 1.0 - high])
+            tails = np.concatenate([1.0 - cum[:-high.size], high])
+            cold = mixture_quantiles(alpha, s, cum, tails)
+            warm = mixture_quantiles(alpha, s, cum, tails,
+                                     x0=cold + rng.normal(0.0, np.sqrt(s), cold.size))
+            lower = cum <= 0.5
+            for q in (cold, warm):
+                assert np.all(np.abs(g.smoothed_cdf(alpha, s, q[lower]) - cum[lower])
+                              <= self.tol)
+                assert np.all(np.abs(smoothed_sf(alpha, s, q[~lower]) - tails[~lower])
+                              <= self.tol)
+
+    @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
+    def test_heat_convolve_inverse(self, s):
+        rng = np.random.default_rng(int(s * 1e4) + 29)
+        for _ in range(4):
+            n = int(rng.integers(1, 30))
+            fn = g.StepFn(np.sort(rng.uniform(-3.0, 3.0, n)),
+                          np.cumsum(np.concatenate([[rng.uniform(-2.0, 2.0)],
+                                                    rng.uniform(0.01, 1.0, n)])))
+            span = fn.upper - fn.lower
+            small = self.tail_levels(rng)
+            y = np.concatenate([fn.lower + span * small,
+                                fn.lower + span * rng.uniform(0.1, 0.9, 6),
+                                fn.upper - span * small])
+            cold = heat_convolve_inverse(fn, s, y, self.tol)
+            warm = heat_convolve_inverse(fn, s, y, self.tol,
+                                         x0=cold + rng.normal(0.0, np.sqrt(s), cold.size))
+            for x in (cold, warm):
+                assert np.all(np.abs(fn.heat_convolve(s, x) - y) <= self.tol)

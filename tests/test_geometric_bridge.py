@@ -31,3 +31,9 @@ def test_sde_volatility_matches_gbm(bench_201):
     vols = [g.sde_volatility(bench_201, 0, t, math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t))
             for t in times for z in scores]
     assert np.max(np.abs(np.array(vols) - SIGMA)) <= 1e-2
+
+
+def test_update_alpha_meets_default_tol(bench_201):
+    csol = bench_201.arithmetic.component_solutions[0]
+    alpha = g.update_alpha(csol.source, csol.fn)
+    assert np.max(np.abs(csol.fn.heat_convolve(1.0, alpha.atoms) - csol.source.atoms)) <= 1e-13
