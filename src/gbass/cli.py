@@ -289,6 +289,9 @@ def run(argv) -> int:
     except (RuntimeError, FloatingPointError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -8,6 +8,13 @@ package builds on: ``_gauss_sum`` is the one dense sweep
 sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, ``mixture_quantiles`` the
 one quantile split of alpha * gamma_s (CDF below one half, survival function
 above), and ``heat_convolve_inverse`` the one bracketed inverse of fn * gamma_s.
+
+Both inverses first fit one Chebyshev proxy of the smoothed map per call and
+solve on it (``_proxy_seed``). The proxy's roots only replace the warm start
+x0: every returned row is still verified on the exact sweep by
+``invert_increasing``. The proxy is skipped when its fit would cost more than
+a quarter of the targets, as for a single target, and a failed fit or proxy
+solve leaves x0 as given.
 """
 
 from __future__ import annotations
@@ -15,12 +22,29 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
+from scipy.fft import dct
 from scipy.special import ndtr, ndtri, roots_hermitenorm
 
 from .measures import GridMeasure
 
 DEFAULT_GH_NODES = 64
 _CHUNK = 4096
+# residual to which mixture quantiles are solved, on the exact CDF or SF
+_MIXTURE_TOL = 1e-13
+# invert_increasing tests its float64 floor only on rows still open after this
+# many steps, which keeps the test off the per-step cost of typical solves:
+# the warm solves of the benchmark pairs close in under 10
+_FLOOR_STEPS = 16
+# Chebyshev degree per unit of half-width / sqrt(s). Phi((x - c) / sqrt(s)) is
+# entire, so its interpolants on an interval of half-width L converge
+# super-geometrically once the degree passes a multiple of L / sqrt(s)
+# (Trefethen, Approximation Theory and Approximation Practice, ch. 8); at
+# 9 L / sqrt(s) both smoothed maps of the benchmark pairs fit to <= 3.1e-15.
+_DEGREE_PER_WIDTH = 9.0
+# a proxy's fit costs degree + 1 exact rows and saves about two per target;
+# it is fitted only while that cost stays within this share of the targets
+_FIT_SHARE = 0.25
 
 
 def gauss_pdf(x, s: float = 1.0):
@@ -98,6 +122,19 @@ def _mixture_pdf(alpha: GridMeasure, s: float, x: np.ndarray) -> np.ndarray:
     return _gauss_sum(x, alpha.atoms, alpha.weights, s, density=True)
 
 
+class InversionError(RuntimeError):
+    """invert_increasing ran out of steps with some row still above its tolerance.
+
+    residual is the worst |f(x) - target| among those rows; iterates holds
+    every row's last evaluated iterate, shaped like the targets.
+    """
+
+    def __init__(self, message: str, residual: float, iterates: np.ndarray):
+        super().__init__(message)
+        self.residual = residual
+        self.iterates = iterates
+
+
 def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 200,
                       x0=None):
     """Solve f(x) = target componentwise for a smooth increasing vectorized f.
@@ -109,9 +146,13 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
 
     Each step calls f and then fprime on the rows still open only, as a 1-D
     array, so both must act componentwise. A row closes at its first iterate
-    with |f(x) - target| <= tol and is returned at that verified iterate.
-    If max_iter runs out, open rows are returned at their last evaluated
-    iterate, and RuntimeError is raised when one misses max(tol, 1e-9).
+    with |f(x) - target| <= max(tol, floor) and is returned at that verified
+    iterate; floor = 4 * spacing(max |target|), what float64 resolves around
+    the largest target. A row still open after _FLOOR_STEPS steps also
+    closes once |f(x) - target| <= floor + |fprime(x)| * spacing(|x|), what
+    one ulp of x moves f by. The floors keep tol reachable where targets or
+    slopes are too large for any float64 x to meet it. If max_iter runs out
+    with rows still open, InversionError is raised.
     """
     targets = np.asarray(targets, dtype=float)
     t = targets.ravel()
@@ -121,32 +162,83 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
         x = 0.5 * (lo + hi)
     else:
         x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
+    floor = 4.0 * float(np.spacing(np.max(np.abs(t), initial=0.0)))
+    close = max(tol, floor)
     out = np.empty_like(t)
     rows = np.arange(t.size)
     err = np.full(t.size, np.inf)
-    for _ in range(max_iter):
+    for step in range(max_iter):
         err = f(x) - t
         out[rows] = x  # each row's last evaluated iterate
-        keep = ~(np.abs(err) <= tol)
+        keep = ~(np.abs(err) <= close)
         if not keep.any():
             return out.reshape(targets.shape)
         rows, x, t, lo, hi, err = (a[keep] for a in (rows, x, t, lo, hi, err))
         hi = np.where(err >= 0, x, hi)
         lo = np.where(err <= 0, x, lo)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cand = x - err / fprime(x)
+            slope = fprime(x)
+            cand = x - err / slope
+            if step >= _FLOOR_STEPS:
+                keep = ~(np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x)))
+                if not keep.any():
+                    return out.reshape(targets.shape)
+                rows, x, t, lo, hi, err, cand = (
+                    a[keep] for a in (rows, x, t, lo, hi, err, cand))
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
         x = np.where(bad, 0.5 * (lo + hi), cand)
     worst = float(np.max(np.abs(err)))
-    if worst > max(tol, 1e-9):
-        raise RuntimeError(f"monotone inversion stalled, residual {worst:.3e}")
-    return out.reshape(targets.shape)
+    raise InversionError(
+        f"monotone inversion stalled after {max_iter} steps: {rows.size} of {targets.size} "
+        f"rows open, worst residual {worst:.3e}", worst, out.reshape(targets.shape))
+
+
+def _chebyshev_fit(f, a: float, b: float, degree: int) -> np.ndarray:
+    """Chebyshev coefficients on [a, b] of f's interpolant at degree + 1 second-kind points."""
+    nodes = np.cos(np.pi * np.arange(degree + 1) / degree)
+    coef = dct(f(0.5 * (a + b) + 0.5 * (b - a) * nodes), type=1) / degree
+    coef[[0, -1]] /= 2.0
+    return coef
+
+
+def _proxy_seed(f, s: float, targets: np.ndarray, lo, hi, tol: float, x0):
+    """Roots of a Chebyshev proxy of f, as warm starts for the exact inversion.
+
+    f is an increasing Gaussian smoothing with variance s, lo and hi the
+    exact solve's brackets. Its interpolant at degree + 1 second-kind points
+    of [min lo, max hi] is fitted from exact sweeps, with the degree set to
+    _DEGREE_PER_WIDTH times that interval's half-width over sqrt(s), and
+    inverted to tol / 10 by invert_increasing. The proxy only seeds: callers
+    still verify every row on the exact f. x0 comes back unchanged when the
+    fit would cost more than _FIT_SHARE of the targets, when the fit is not
+    finite, or when the proxy solve stalls.
+    """
+    max_degree = _FIT_SHARE * np.size(targets) - 1
+    if max_degree < 1:
+        return x0
+    a, b = float(np.min(lo)), float(np.max(hi))
+    degree = np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / np.sqrt(s))
+    if not 1 <= degree <= max_degree:
+        return x0
+    coef = _chebyshev_fit(f, a, b, int(degree))
+    if not np.all(np.isfinite(coef)):
+        return x0
+    scale = 2.0 / (b - a)
+    slope = chebder(coef) * scale
+    mid = 0.5 * (a + b)
+    try:
+        return invert_increasing(lambda x: chebval((x - mid) * scale, coef),
+                                 lambda x: chebval((x - mid) * scale, slope),
+                                 targets, lo, hi, tol=tol / 10.0, x0=x0)
+    except InversionError:
+        return x0
 
 
 def smoothed_quantile(alpha: GridMeasure, s: float, u):
-    """Inverse of smoothed_cdf; |smoothed_cdf(result) - u| < 1e-12.
+    """Inverse of smoothed_cdf, to the 1e-13 of mixture_quantiles.
 
-    Upper-tail levels are solved through the survival function so precision
+    Levels u <= 1/2 meet |smoothed_cdf(result) - u| <= 1e-13; upper levels are
+    solved through the survival function, to 1e-13 of 1 - u, so precision
     does not collapse near one.
     """
     u = np.asarray(u, dtype=float)
@@ -157,6 +249,12 @@ def smoothed_quantile(alpha: GridMeasure, s: float, u):
     return float(out[0]) if u.ndim == 0 else out
 
 
+def _moment_guess(alpha: GridMeasure, s: float, z: np.ndarray) -> np.ndarray:
+    """Quantiles at standard scores z of the Gaussian matching alpha * gamma_s's moments."""
+    var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
+    return alpha.mean + np.sqrt(s + var) * z
+
+
 def _invert_mixture(alpha: GridMeasure, s: float, f, targets: np.ndarray, z: np.ndarray,
                     x0=None) -> np.ndarray:
     """Solve f(x) = targets for f the mixture CDF or minus its survival function.
@@ -165,11 +263,10 @@ def _invert_mixture(alpha: GridMeasure, s: float, f, targets: np.ndarray, z: np.
     """
     root = np.sqrt(s)
     if x0 is None:
-        var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
-        x0 = alpha.mean + np.sqrt(s + var) * z
+        x0 = _moment_guess(alpha, s, z)
     return invert_increasing(f, lambda x: _mixture_pdf(alpha, s, x), targets,
                              alpha.atoms[0] + root * z, alpha.atoms[-1] + root * z,
-                             tol=1e-13, x0=x0)
+                             tol=_MIXTURE_TOL, x0=x0)
 
 
 def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.ndarray,
@@ -177,16 +274,31 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
     """Points where alpha * gamma_s has lower mass cum and upper mass tails (= 1 - cum).
 
     Levels with cum <= 1/2 are solved on the CDF, the rest on the survival
-    function, and a warm start x0 is split the same way.
+    function, and a warm start x0 is split the same way. Every returned row
+    is within 1e-13 of its level on that exact function. Before the exact
+    solve, one Chebyshev proxy of the mixture CDF is fitted for both halves
+    and its roots replace x0 (see _proxy_seed); it only seeds the solve, and
+    it is skipped when its fit would cost more than a quarter of the levels.
     """
     out = np.empty(cum.shape)
     lower = cum <= 0.5
-    warm = (None, None) if x0 is None else (x0[lower], x0[~lower])
+    z = np.empty(cum.shape)
+    z[lower] = ndtri(cum[lower])
+    # survival tail t at atom a sits at a - sqrt(s)*ndtri(t)
+    z[~lower] = -ndtri(tails[~lower])
+    root = np.sqrt(s)
+    if x0 is None:
+        x0 = _moment_guess(alpha, s, z)
+    # the proxy is of the CDF; 1 - tails costs the upper levels only an
+    # absolute 1e-16, far inside the proxy solve's tolerance
+    x0 = _proxy_seed(lambda x: smoothed_cdf(alpha, s, x), s,
+                     np.where(lower, cum, 1.0 - tails), alpha.atoms[0] + root * z,
+                     alpha.atoms[-1] + root * z, _MIXTURE_TOL, x0)
     if lower.any():
         out[lower] = _invert_mixture(alpha, s, lambda x: smoothed_cdf(alpha, s, x),
-                                     cum[lower], ndtri(cum[lower]), warm[0])
+                                     cum[lower], z[lower], x0[lower])
     if (~lower).any():
-        out[~lower] = smoothed_isf(alpha, s, tails[~lower], x0=warm[1])
+        out[~lower] = smoothed_isf(alpha, s, tails[~lower], x0=x0[~lower])
     return out
 
 
@@ -343,28 +455,46 @@ def heat_convolve_deriv(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_N
     return fn.heat_convolve_deriv(s, x, n_nodes)
 
 
+def _constant_beyond(fn: MonotoneFn) -> tuple[float, float] | None:
+    """(e0, e1) with fn equal to fn.lower below e0 and to fn.upper above e1, if known."""
+    if isinstance(fn, StepFn) and fn.thresholds.size:
+        return float(fn.thresholds[0]), float(fn.thresholds[-1])
+    if isinstance(fn, TableFn):
+        return float(fn.xs[0]), float(fn.xs[-1])
+    return None
+
+
 def heat_convolve_span(fn: MonotoneFn, s: float) -> tuple[float, float]:
     """fn's own span (its thresholds' or abscissae's range, else 0) padded by 9 sqrt(s)."""
-    if isinstance(fn, StepFn) and fn.thresholds.size:
-        lo, hi = fn.thresholds[0], fn.thresholds[-1]
-    elif isinstance(fn, TableFn):
-        lo, hi = fn.xs[0], fn.xs[-1]
-    else:
-        lo = hi = 0.0
+    lo, hi = _constant_beyond(fn) or (0.0, 0.0)
     pad = 9.0 * np.sqrt(s)
-    return float(lo - pad), float(hi + pad)
+    return lo - pad, hi + pad
 
 
 def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> np.ndarray:
     """Solve (fn * gamma_s)(x) = y componentwise for y inside fn's open image.
 
-    The bracket starts at heat_convolve_span; each end that does not yet
-    enclose the targets moves out by 1, 2, 4, ... until it does, and a step
-    past 1e12 raises ValueError.
+    Where fn is constant beyond (e0, e1) with finite bounds, the bracket
+    starts at the Gaussian-tail bound on the targets' range: fn * gamma_s
+    is at most lower + (upper - lower) Phi((x - e0) / sqrt(s)) and at least
+    upper - (upper - lower) Phi((e1 - x) / sqrt(s)). Otherwise it starts at
+    heat_convolve_span. Each end that does not yet enclose the targets moves
+    out by 1, 2, 4, ... until it does, and a step past 1e12 raises
+    ValueError. Every returned row meets tol on the exact fn.heat_convolve.
+    Before that solve, the roots of one Chebyshev proxy of fn * gamma_s over
+    the bracket replace x0 (see _proxy_seed); the proxy only seeds the
+    solve, and it is skipped when its fit would cost more than a quarter of
+    the targets, as for a single target.
     """
     y = np.asarray(y, dtype=float)
     y_min, y_max = np.min(y), np.max(y)
-    lo, hi = heat_convolve_span(fn, s)
+    ends = _constant_beyond(fn)
+    if ends is not None and fn.lower < y_min and y_max < fn.upper:
+        width, root = fn.upper - fn.lower, np.sqrt(s)
+        lo = ends[0] + root * ndtri((y_min - fn.lower) / width)
+        hi = ends[1] - root * ndtri((fn.upper - y_max) / width)
+    else:
+        lo, hi = heat_convolve_span(fn, s)
     step = 1.0
     while True:
         f_lo, f_hi = fn.heat_convolve(s, np.array([lo, hi]))
@@ -375,6 +505,7 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
         lo -= step if f_lo > y_min else 0.0
         hi += step if f_hi < y_max else 0.0
         step *= 2.0
+    x0 = _proxy_seed(lambda x: fn.heat_convolve(s, x), s, y, lo, hi, tol, x0)
     return invert_increasing(lambda x: fn.heat_convolve(s, x),
                              lambda x: fn.heat_convolve_deriv(s, x),
                              y, lo, hi, tol=tol, x0=x0)

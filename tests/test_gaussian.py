@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gbass as g
+from gbass import gaussian
+from gbass.cli import build_marginals
 from gbass.gaussian import (
     gauss_hermite,
+    InversionError,
     heat_convolve_inverse,
     invert_increasing,
     mixture_quantiles,
@@ -338,17 +343,49 @@ class TestInvertIncreasing:
         assert sum(int(np.sum(c == self.x0[0])) for c in f.calls) == 1
 
     def test_exhaustion_returns_last_evaluated_iterate(self):
-        # the NaN slope forces a bisection step that is never evaluated
+        # the NaN slope forces a bisection step that is never evaluated; the
+        # row still misses tol (by 1e-10) when max_iter runs out, so it raises
         x0 = np.array([0.3 + 1e-10])
-        x = invert_increasing(lambda x: x, lambda x: np.full_like(x, np.nan),
+        with pytest.raises(InversionError, match="stalled") as info:
+            invert_increasing(lambda x: x, lambda x: np.full_like(x, np.nan),
                               np.array([0.3]), -1.0, 1.0, tol=1e-12, max_iter=1, x0=x0)
-        assert x[0] == x0[0]
+        assert info.value.iterates[0] == x0[0]
+        assert info.value.residual == pytest.approx(1e-10, rel=1e-5)
+
+    def test_float64_floor_closes_unresolvable_rows(self):
+        # one ulp of x near 1 moves f by 2.2e-8, so no float64 x meets tol;
+        # the row closes within an ulp of the root instead of stalling, once
+        # bisection has brought its bracket (width 0.5) down to ulps of x
+        f = CountingFn(lambda x: 1e8 * (x - 1.0))
+        x = invert_increasing(f, lambda x: np.full_like(x, 1e8), np.array([1e-8]),
+                              0.5, 1.5, tol=1e-12, x0=np.array([1.2]))
+        assert abs(x[0] - (1.0 + 1e-16)) <= np.spacing(1.0)
+        assert len(f.calls) <= 60
 
     def test_exhaustion_judges_the_returned_iterate(self):
         with pytest.raises(RuntimeError, match="stalled"):
             invert_increasing(lambda x: x, lambda x: np.full_like(x, np.nan),
                               np.array([0.3]), -1.0, 1.0, tol=1e-12, max_iter=1,
                               x0=np.array([0.3 + 1e-6]))
+
+
+def break_proxy(monkeypatch, proxy, s):
+    """Fit a wrong Chebyshev proxy on every call: shifted by sqrt(s), or NaN.
+
+    Fits are capped at degree 64, which keeps them cheap and, at small s,
+    wrong twice over. Returns the list of requested degrees, one per fit.
+    """
+    fits = []
+
+    def broken(f, a, b, degree):
+        fits.append(degree)
+        coef = fit(f, a, b, min(degree, 64))
+        return coef + np.sqrt(s) if proxy == "shifted" else np.full_like(coef, np.nan)
+
+    fit = gaussian._chebyshev_fit
+    monkeypatch.setattr(gaussian, "_FIT_SHARE", np.inf)
+    monkeypatch.setattr(gaussian, "_chebyshev_fit", broken)
+    return fits
 
 
 class TestResidualContract:
@@ -360,8 +397,7 @@ class TestResidualContract:
     def tail_levels(rng, n=14):
         return 10.0 ** rng.uniform(-14.0, -1.0, n)
 
-    @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
-    def test_mixture_quantiles(self, s):
+    def check_mixture_quantiles(self, s):
         rng = np.random.default_rng(int(s * 1e4) + 17)
         for _ in range(4):
             n = int(rng.integers(1, 30))
@@ -379,8 +415,7 @@ class TestResidualContract:
                 assert np.all(np.abs(smoothed_sf(alpha, s, q[~lower]) - tails[~lower])
                               <= self.tol)
 
-    @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
-    def test_heat_convolve_inverse(self, s):
+    def check_heat_convolve_inverse(self, s):
         rng = np.random.default_rng(int(s * 1e4) + 29)
         for _ in range(4):
             n = int(rng.integers(1, 30))
@@ -397,3 +432,80 @@ class TestResidualContract:
                                          x0=cold + rng.normal(0.0, np.sqrt(s), cold.size))
             for x in (cold, warm):
                 assert np.all(np.abs(fn.heat_convolve(s, x) - y) <= self.tol)
+
+    @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
+    def test_mixture_quantiles(self, s):
+        self.check_mixture_quantiles(s)
+
+    @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
+    def test_heat_convolve_inverse(self, s):
+        self.check_heat_convolve_inverse(s)
+
+    @pytest.mark.parametrize("proxy", ["shifted", "nan"])
+    @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
+    def test_broken_proxy_only_seeds(self, s, proxy, monkeypatch):
+        # a wrong proxy fitted on every call: the exact check alone decides
+        # which rows are returned
+        fits = break_proxy(monkeypatch, proxy, s)
+        self.check_mixture_quantiles(s)
+        self.check_heat_convolve_inverse(s)
+        assert len(fits) == 16
+
+
+def rows_counter(monkeypatch):
+    """Count rows of the exact mixture CDF/SF and StepFn smoothing, and proxy fit nodes."""
+    rows = {"exact": 0, "fit": 0, "fits": 0}
+
+    def counted(f):
+        def wrapper(first, s, x, *args):
+            rows["exact"] += np.size(x)
+            return f(first, s, x, *args)
+        return wrapper
+
+    fit = gaussian._chebyshev_fit
+
+    def counted_fit(f, a, b, degree):
+        rows["fit"] += degree + 1
+        rows["fits"] += 1
+        return fit(f, a, b, degree)
+
+    monkeypatch.setattr(gaussian, "smoothed_cdf", counted(gaussian.smoothed_cdf))
+    monkeypatch.setattr(gaussian, "smoothed_sf", counted(gaussian.smoothed_sf))
+    monkeypatch.setattr(g.StepFn, "heat_convolve", counted(g.StepFn.heat_convolve))
+    monkeypatch.setattr(gaussian, "_chebyshev_fit", counted_fit)
+    return rows
+
+
+class TestChebyshevProxy:
+    """The proxy of the smoothed map seeds the exact solve on the benchmark pairs."""
+
+    @pytest.fixture(scope="class", params=[201, 1001])
+    def bench(self, request):
+        config = {
+            "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04,
+                    "grid_size": request.param},
+            "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16,
+                    "grid_size": request.param},
+        }
+        return g.solve_geometric(*build_marginals(config, Path(".")))
+
+    def test_warm_solves_close_at_the_seed(self, bench, monkeypatch):
+        csol = bench.arithmetic.component_solutions[0]
+        # one fixed-point step away from the solution: alpha spread by 1e-3,
+        # warm starts at the solution's thresholds and atoms
+        mean = csol.alpha.mean
+        alpha = g.make_grid_measure(mean + 1.001 * (csol.alpha.atoms - mean), csol.alpha.weights)
+        rows = rows_counter(monkeypatch)
+        fn = g.monotone_rearrangement(csol.target, alpha, warm_thresholds=csol.fn.thresholds)
+        assert rows["fits"] == 1
+        assert rows["exact"] - rows["fit"] <= 1.2 * fn.thresholds.size
+        rows.update(exact=0, fit=0, fits=0)
+        g.update_alpha(csol.source, fn, warm_atoms=alpha.atoms)
+        assert rows["fits"] == 1
+        assert rows["exact"] - rows["fit"] <= 1.2 * csol.source.n
+
+    def test_single_target_builds_no_proxy(self, bench, monkeypatch):
+        rows = rows_counter(monkeypatch)
+        vol = g.sde_volatility(bench, 0, 0.5, 1.0)
+        assert rows["fits"] == 0 and rows["exact"] > 0
+        assert 0.3 < vol < 0.4
