@@ -12,10 +12,9 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bass_solver import BassSolution
-from .gaussian import mixture_quantiles
+from .gaussian import _gauss_sum, mixture_quantiles
 from .measures import GridMeasure, _panels, moment
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,17 +25,6 @@ def max_covariance(eta: GridMeasure, rho: GridMeasure) -> float:
     """Largest E[XY] over couplings; the comonotone quantile pairing, exact."""
     du, qe, qr = _panels(eta, rho)
     return float(du @ (qe * qr))
-
-
-def _mixture_partial_mean(alpha: GridMeasure, s: float, x: np.ndarray) -> np.ndarray:
-    """E[X 1_{X <= x}] for X ~ alpha * gamma_s, closed form per boundary point."""
-    root = np.sqrt(s)
-    z = (x[:, None] - alpha.atoms[None, :]) / root
-    dens = np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi)
-    out = (ndtr(z) * alpha.atoms[None, :] - root * dens) @ alpha.weights
-    out[np.isneginf(x)] = 0.0
-    out[np.isposinf(x)] = alpha.mean
-    return out
 
 
 def max_covariance_smoothed(eta: GridMeasure, alpha: GridMeasure, s: float) -> float:
@@ -50,8 +38,11 @@ def max_covariance_smoothed(eta: GridMeasure, alpha: GridMeasure, s: float) -> f
         raise ValueError(f"variance must be positive, got {s}")
     cuts = mixture_quantiles(alpha, s, eta.cum_weights[:-1], eta.tail_weights[:-1])
     bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
-    partial = np.diff(_mixture_partial_mean(alpha, s, bounds))
-    return float(eta.atoms @ partial)
+    # E[X 1_{X <= b}] = sum_j w_j (a_j Phi(z_j) - sqrt(s) phi(z_j)), z_j = (b - a_j) / sqrt(s);
+    # the density sum already carries the 1 / sqrt(s), hence the factor s
+    partial_mean = (_gauss_sum(bounds, alpha.atoms, alpha.weights * alpha.atoms, s)
+                    - s * _gauss_sum(bounds, alpha.atoms, alpha.weights, s, density=True))
+    return float(eta.atoms @ np.diff(partial_mean))
 
 
 def component_dual_value(source: GridMeasure, target: GridMeasure,

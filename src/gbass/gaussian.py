@@ -148,11 +148,13 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     array, so both must act componentwise. A row closes at its first iterate
     with |f(x) - target| <= max(tol, floor) and is returned at that verified
     iterate; floor = 4 * spacing(max |target|), what float64 resolves around
-    the largest target. A row still open after _FLOOR_STEPS steps also
-    closes once |f(x) - target| <= floor + |fprime(x)| * spacing(|x|), what
-    one ulp of x moves f by. The floors keep tol reachable where targets or
-    slopes are too large for any float64 x to meet it. If max_iter runs out
-    with rows still open, InversionError is raised.
+    the largest target. A row whose Newton step is lost to rounding
+    (x - err / slope == x) closes at once at that verified iterate, and a
+    row still open after _FLOOR_STEPS steps also closes once
+    |f(x) - target| <= floor + |fprime(x)| * spacing(|x|), what one ulp of x
+    moves f by. These floors keep tol reachable where targets or slopes are
+    too large for any float64 x to meet it. If max_iter runs out with rows
+    still open, InversionError is raised.
     """
     targets = np.asarray(targets, dtype=float)
     t = targets.ravel()
@@ -179,12 +181,15 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             slope = fprime(x)
             cand = x - err / slope
+            # a Newton step lost to rounding is below half an ulp of x
+            stuck = cand == x
             if step >= _FLOOR_STEPS:
-                keep = ~(np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x)))
-                if not keep.any():
-                    return out.reshape(targets.shape)
-                rows, x, t, lo, hi, err, cand = (
-                    a[keep] for a in (rows, x, t, lo, hi, err, cand))
+                stuck |= np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x))
+        if stuck.any():
+            keep = ~stuck
+            if not keep.any():
+                return out.reshape(targets.shape)
+            rows, x, t, lo, hi, err, cand = (a[keep] for a in (rows, x, t, lo, hi, err, cand))
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
         x = np.where(bad, 0.5 * (lo + hi), cand)
     worst = float(np.max(np.abs(err)))

@@ -28,6 +28,8 @@ from .measures import (
     reflect_measure,
 )
 
+# most atoms of a flow marginal, which also sets the Gauss-Hermite nodes per
+# alpha atom at interior times
 FLOW_GRID_MAX = 4001
 
 
@@ -120,8 +122,7 @@ def _compact(atoms: np.ndarray, weights: np.ndarray, max_atoms: int) -> tuple[np
     return aw_out[keep] / w_out[keep], w_out[keep]
 
 
-def marginal_flow(gsol: GeometricSolution, t: float,
-                  flow_grid_max: int = FLOW_GRID_MAX) -> GridMeasure:
+def marginal_flow(gsol: GeometricSolution, t: float) -> GridMeasure:
     """Law of the price at time t.
 
     The driving law at time t is quantized by Gauss-Hermite nodes around each
@@ -146,7 +147,7 @@ def marginal_flow(gsol: GeometricSolution, t: float,
             vals = csol.fn.heat_convolve(1.0, csol.alpha.atoms)
             w = csol.alpha.weights * comp.mass
         else:
-            gh_nodes, gh_weights = gauss_hermite(max(12, flow_grid_max // (2 * n_alpha)))
+            gh_nodes, gh_weights = gauss_hermite(max(12, FLOW_GRID_MAX // (2 * n_alpha)))
             nodes = (csol.alpha.atoms[:, None] + np.sqrt(t) * gh_nodes[None, :]).ravel()
             vals = csol.fn.heat_convolve(1.0 - t, nodes)
             w = np.outer(csol.alpha.weights, gh_weights).ravel() * comp.mass
@@ -161,7 +162,7 @@ def marginal_flow(gsol: GeometricSolution, t: float,
     p = np.concatenate(weights_parts)
     if np.any(y <= 0):
         raise RuntimeError("internal error: nonpositive value in the driving law")
-    atoms, weights = _compact(m / y, p * y, flow_grid_max)
+    atoms, weights = _compact(m / y, p * y, FLOW_GRID_MAX)
     return make_grid_measure(atoms, weights)
 
 

@@ -1,10 +1,12 @@
 """Monte Carlo engines for solved transport instances.
 
-Exact-marginal path sampling of the arithmetic martingale (component pasting
-plus static mass), the reweighted representation of the price process, and an
-Euler scheme driven by the local lognormal volatility. Every path owns a
-counter-based random stream keyed by (seed, path index), so ensembles are
-reproducible independently of chunking.
+The arithmetic engine samples F_t(W_t), F_t = fn * gamma_{1-t}, with exact
+marginals (component pasting plus static mass); the weighted engine reads the
+price m / F_t(W_t) off those paths, weighted by F_1(W_1) / m. The SDE engine
+samples the price measure itself, where by Girsanov W gains the drift
+d/dx log F_t, and S_t = m / F_t(W_t) needs no clamping. Both read F_t through
+``_eval_smoothed``. Every path owns a counter-based random stream keyed by
+(seed, path index), so ensembles are reproducible independently of chunking.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from scipy.special import ndtri
 
 from .bass_solver import BassSolution
 from .geometric_bridge import GeometricSolution
-from .gaussian import StepFn, heat_convolve_span
+from .gaussian import StepFn
 from .measures import GridMeasure, make_grid_measure, quantile, wasserstein1
 
 _CHUNK = 16384
 _MIN_U = 2.0 ** -53
+# _eval_smoothed sweeps exactly up to this many points, and beyond them
+# interpolates a table of this many points
+_TABLE = 1025
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,7 @@ class PathEnsemble:
     weights: np.ndarray
     seed: int
     kind: str
+    # no engine clamps a state; the field stays, at 0, in reports and traces
     clamp_count: int = 0
 
     @property
@@ -47,38 +53,46 @@ def _time_grid(n_steps: int, time_grid) -> np.ndarray:
     return grid
 
 
-def power_time_grid(n_steps: int, power: float = 3.0) -> np.ndarray:
-    """Grid on [0, 1] refined toward t = 1, where step targets steepen the dynamics."""
-    u = np.linspace(0.0, 1.0, n_steps + 1)
-    grid = 1.0 - (1.0 - u) ** power
-    grid[0], grid[-1] = 0.0, 1.0
-    return grid
-
-
 def _path_uniforms(seed: int, index: int, count: int) -> np.ndarray:
     gen = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
     return np.maximum(gen.random(count), _MIN_U)
 
 
-def _eval_smoothed(fn: StepFn, s: float, x: np.ndarray, table_size: int) -> np.ndarray:
-    """fn * gamma_s at many points: exact for small support, tabulated otherwise."""
-    if s == 0.0 or fn.thresholds.size == 0:
+def _uniform_blocks(seed: int, n_paths: int, count: int):
+    """Yield (start, stop, block): the first count uniforms of paths start..stop-1, by row."""
+    for start in range(0, n_paths, _CHUNK):
+        stop = min(start + _CHUNK, n_paths)
+        block = np.empty((stop - start, count))
+        for i in range(start, stop):
+            block[i - start] = _path_uniforms(seed, i, count)
+        yield start, stop, block
+
+
+def _eval_smoothed(fn: StepFn, s: float, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """fn * gamma_s at the points x, or its slope with deriv (which needs s > 0).
+
+    Exact when s == 0 (fn itself), when fn has at most 64 thresholds or when
+    x has at most _TABLE points; otherwise linear interpolation in a
+    _TABLE-point table of the exact values over [x.min, x.max].
+    """
+    if s == 0.0 and not deriv:
         return fn(x)
-    if fn.thresholds.size <= 64 or x.size <= 2 * table_size:
-        return fn.heat_convolve(s, x)
+    evaluate = fn.heat_convolve_deriv if deriv else fn.heat_convolve
+    if fn.thresholds.size <= 64 or x.size <= _TABLE:
+        return evaluate(s, x)
     lo, hi = float(x.min()), float(x.max())
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    grid = np.linspace(lo - pad, hi + pad, table_size)
-    return np.interp(x, grid, fn.heat_convolve(s, grid))
+    grid = np.linspace(lo - pad, hi + pad, _TABLE)
+    return np.interp(x, grid, evaluate(s, grid))
 
 
 def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int,
-                        time_grid=None, table_size: int = 1025) -> PathEnsemble:
+                        time_grid=None) -> PathEnsemble:
     """Sample martingale paths as the smoothed generating function of a Brownian path.
 
     Each path draws its component, its initial point, and its increments from
-    its own stream; marginals at grid times are exact up to the tabulation of
-    the smoothed generating function.
+    its own stream; marginals at grid times are exact up to _eval_smoothed's
+    table.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
@@ -94,11 +108,7 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
     labels = np.empty(n_paths, dtype=np.int64)
     sqrt_dt = np.sqrt(np.diff(grid))
 
-    for start in range(0, n_paths, _CHUNK):
-        stop = min(start + _CHUNK, n_paths)
-        block = np.empty((stop - start, k_steps + 2))
-        for i in range(start, stop):
-            block[i - start] = _path_uniforms(seed, i, k_steps + 2)
+    for start, stop, block in _uniform_blocks(seed, n_paths, k_steps + 2):
         lab = np.searchsorted(cum_probs, block[:, 0], side="right")
         labels[start:stop] = lab
         w0 = np.empty(stop - start)
@@ -118,8 +128,7 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
         if rows.size == 0:
             continue
         for k, t in enumerate(grid):
-            paths[rows, k] = _eval_smoothed(csol.fn, 1.0 - t, paths[rows, k],
-                                            table_size)
+            paths[rows, k] = _eval_smoothed(csol.fn, 1.0 - t, paths[rows, k])
     static = np.flatnonzero(labels == 0)
     if static.size:
         paths[static, 1:] = paths[static, :1]
@@ -128,15 +137,13 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
 
 
 def simulate_geometric_weighted(gsol: GeometricSolution, n_steps: int, n_paths: int,
-                                seed: int, time_grid=None,
-                                table_size: int = 1025) -> PathEnsemble:
+                                seed: int, time_grid=None) -> PathEnsemble:
     """Price paths as m over the arithmetic paths, importance-weighted by the terminal value.
 
     Expectations of path functionals under the price measure are weighted
     averages over this ensemble; the weights have mean one in law.
     """
-    base = simulate_arithmetic(gsol.arithmetic, n_steps, n_paths, seed,
-                               time_grid, table_size)
+    base = simulate_arithmetic(gsol.arithmetic, n_steps, n_paths, seed, time_grid)
     if np.any(base.paths <= 0):
         raise RuntimeError(
             "internal error: nonpositive driving value; the terminal marginal "
@@ -147,61 +154,49 @@ def simulate_geometric_weighted(gsol: GeometricSolution, n_steps: int, n_paths: 
 
 
 def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
-                           n_steps: int, n_paths: int, seed: int, time_grid=None,
-                           table_size: int = 1025,
-                           range_epsilon: float = 1e-9) -> PathEnsemble:
-    """Euler scheme for the price dynamics on a single component.
+                           n_steps: int, n_paths: int, seed: int,
+                           time_grid=None) -> PathEnsemble:
+    """Price paths S_t = m / F_t(W_t) under the price measure, on a single component.
 
-    The local volatility is read off tabulated values and slopes of the
-    smoothed generating function; states are clamped into the open component
-    range, where the dynamics degenerate, and clamps are counted.
+    Under the price measure the driving Brownian motion W has the Girsanov
+    drift d/dx log F_t, where F_t = fn * gamma_{1-t}. W_0 is drawn from alpha
+    reweighted by F_0(a_i) = source.atoms[i], which puts S_0 exactly on the
+    initial marginal; then W += (F_t' / F_t)(W) dt + sqrt(dt) ndtri(u), with
+    F_t and F_t' from _eval_smoothed, and S_1 = m / fn(W_1) lies on the
+    terminal atoms. S never leaves (m / upper, m / lower), so clamp_count is 0.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
     grid = _time_grid(n_steps, time_grid)
     k_steps = grid.size - 1
+    dt = np.diff(grid)
+    sqrt_dt = np.sqrt(dt)
+    u0 = np.empty(n_paths)
+    incr = np.empty((n_paths, k_steps))
+    for start, stop, block in _uniform_blocks(seed, n_paths, k_steps + 1):
+        u0[start:stop] = block[:, 0]
+        ndtri(block[:, 1:], out=incr[start:stop])
+    incr *= sqrt_dt[None, :]
     if not gsol.arithmetic.component_solutions:
         # nothing moves: constant paths drawn from the initial marginal
-        start = np.empty(n_paths)
-        for i in range(n_paths):
-            start[i] = quantile(gsol.mu0, _path_uniforms(seed, i, 1)[0])
-        paths = np.repeat(start[:, None], k_steps + 1, axis=1)
+        paths = np.repeat(quantile(gsol.mu0, u0)[:, None], k_steps + 1, axis=1)
         return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
     csol = gsol.arithmetic.component_solutions[component_index]
-    m = gsol.m
-    s_lo = m / csol.fn.upper * (1.0 + range_epsilon)
-    s_hi = m / csol.fn.lower * (1.0 - range_epsilon)
-    mu0_restricted = make_grid_measure(m / csol.source.atoms,
-                                       csol.source.weights * csol.source.atoms)
+    fn, source, m = csol.fn, csol.source, gsol.m
+    # alpha's atoms solve F_0(a_i) = source.atoms[i]: each path draws the
+    # index i of its initial atom, and F_0(W_0) is that source atom
+    pick = quantile(make_grid_measure(np.arange(source.n), source.weights * source.atoms),
+                    u0).astype(np.int64)
+    w = csol.alpha.atoms[pick]
 
     paths = np.empty((n_paths, k_steps + 1))
-    incr = np.empty((n_paths, k_steps))
-    sqrt_dt = np.sqrt(np.diff(grid))
-    for start in range(0, n_paths, _CHUNK):
-        stop = min(start + _CHUNK, n_paths)
-        block = np.empty((stop - start, k_steps + 1))
-        for i in range(start, stop):
-            block[i - start] = _path_uniforms(seed, i, k_steps + 1)
-        paths[start:stop, 0] = quantile(mu0_restricted, block[:, 0])
-        incr[start:stop] = ndtri(block[:, 1:]) * sqrt_dt[None, :]
-
-    clamps = 0
-    state = np.clip(paths[:, 0], s_lo, s_hi)
-    paths[:, 0] = state
     for k in range(k_steps):
-        xg = np.linspace(*heat_convolve_span(csol.fn, 1.0 - grid[k]), table_size)
-        vals = csol.fn.heat_convolve(1.0 - grid[k], xg)
-        slopes = csol.fn.heat_convolve_deriv(1.0 - grid[k], xg)
-        x_star = np.interp(m / state, vals, xg)
-        sigma = state / m * np.interp(x_star, xg, slopes)
-        proposal = state * (1.0 + sigma * incr[:, k])
-        clamped = np.clip(proposal, s_lo, s_hi)
-        clamps += int(np.count_nonzero(clamped != proposal))
-        state = clamped
-        paths[:, k + 1] = state
-
-    return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde",
-                        clamp_count=clamps)
+        s = 1.0 - grid[k]
+        value = source.atoms[pick] if k == 0 else _eval_smoothed(fn, s, w)
+        paths[:, k] = m / value
+        w = w + _eval_smoothed(fn, s, w, deriv=True) / value * dt[k] + incr[:, k]
+    paths[:, -1] = m / fn(w)
+    return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
 
 
 def _weighted_mean_se(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:

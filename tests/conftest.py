@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gbass as g
+from gbass.cli import build_marginals
 from _oracles import lognormal_zgrid
 
 
@@ -21,6 +24,16 @@ def gbm_pair():
 @pytest.fixture(scope="session")
 def gbm_solution(gbm_pair):
     return g.solve_geometric(*gbm_pair)
+
+
+@pytest.fixture(scope="session")
+def bench_201():
+    """The benchmark's lognormal pair at 201 atoms; its Bass martingale is GBM."""
+    config = {
+        "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": 201},
+        "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "grid_size": 201},
+    }
+    return g.solve_geometric(*build_marginals(config, Path(".")))
 
 
 @pytest.fixture(scope="session")

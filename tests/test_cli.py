@@ -1,16 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
 from gbass import cli
 from gbass.bass_solver import ConvergenceError
 
 
-def write_config(tmp_path):
+def write_config(tmp_path, **extra):
+    """The two-point geometric step pair: delta_1 to (delta_0.5 + delta_1.5) / 2."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "mu0": {"atoms": [1.0], "weights": [1.0]},
         "mu1": {"atoms": [0.5, 1.5], "weights": [0.5, 0.5]},
+        **extra,
     }))
     return config
 
@@ -44,3 +47,18 @@ def test_config_naming_a_directory_is_an_input_error(tmp_path, capsys):
     assert cli.run(["check", "--config", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1
+
+
+def test_simulate_step_pair_with_both_engines(tmp_path):
+    n_paths = 300
+    config = write_config(tmp_path, simulation={
+        "engines": ["weighted", "sde"], "n_steps": 20, "n_paths": n_paths, "seed": 3})
+    out = tmp_path / "out"
+    assert cli.run(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    for name in ("paths_weighted.csv", "paths_sde.csv"):
+        assert len((out / name).read_text().splitlines()) == n_paths + 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["stats"]["sde"]["clamp_count"] == 0
+    # the last column before the weight is the terminal price
+    terminal = np.loadtxt(out / "paths_sde.csv", delimiter=",", skiprows=1)[:, -2]
+    assert np.all((terminal == 0.5) | (terminal == 1.5))

@@ -354,13 +354,24 @@ class TestInvertIncreasing:
 
     def test_float64_floor_closes_unresolvable_rows(self):
         # one ulp of x near 1 moves f by 2.2e-8, so no float64 x meets tol;
-        # the row closes within an ulp of the root instead of stalling, once
-        # bisection has brought its bracket (width 0.5) down to ulps of x
+        # the row closes within an ulp of the root instead of stalling. The
+        # slope is off by a factor of two, so Newton steps overshoot by an
+        # ulp instead of rounding away and only the step-16 floor test,
+        # which reads that slope, closes the row
+        f = CountingFn(lambda x: 1e8 * (x - 1.0))
+        x = invert_increasing(f, lambda x: np.full_like(x, 0.5e8), np.array([1e-8]),
+                              0.5, 1.5, tol=1e-12, x0=np.array([1.2]))
+        assert abs(x[0] - (1.0 + 1e-16)) <= np.spacing(1.0)
+        assert len(f.calls) <= 60
+
+    def test_newton_step_lost_to_rounding_closes_at_once(self):
+        # the row above with its exact slope: from x0 = 1.2 one Newton step
+        # lands within an ulp of the root, and the next is lost to rounding
         f = CountingFn(lambda x: 1e8 * (x - 1.0))
         x = invert_increasing(f, lambda x: np.full_like(x, 1e8), np.array([1e-8]),
                               0.5, 1.5, tol=1e-12, x0=np.array([1.2]))
         assert abs(x[0] - (1.0 + 1e-16)) <= np.spacing(1.0)
-        assert len(f.calls) <= 60
+        assert len(f.calls) <= 3
 
     def test_exhaustion_judges_the_returned_iterate(self):
         with pytest.raises(RuntimeError, match="stalled"):

@@ -1,23 +1,11 @@
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gbass as g
-from gbass.cli import build_marginals
 
 SIGMA = math.sqrt(0.12)
-
-
-@pytest.fixture(scope="module")
-def bench_201():
-    """The benchmark's lognormal pair at 201 atoms; its Bass martingale is GBM."""
-    config = {
-        "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": 201},
-        "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "grid_size": 201},
-    }
-    return g.solve_geometric(*build_marginals(config, Path(".")))
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 0.75, 0.9])
