@@ -8,6 +8,8 @@ package builds on: ``_gauss_sum`` is the one dense sweep
 sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, ``mixture_quantiles`` the
 one quantile split of alpha * gamma_s (CDF below one half, survival function
 above), and ``heat_convolve_inverse`` the one bracketed inverse of fn * gamma_s.
+``smoothed_values`` evaluates fn * gamma_s or its slope at many points, by a
+Chebyshev interpolant certified to 1e-13 of the range or by the exact sweep.
 
 Both inverses first fit one Chebyshev proxy of the smoothed map per call and
 solve on it (``_proxy_seed``). The proxy's roots only replace the warm start
@@ -474,6 +476,43 @@ def heat_convolve_span(fn: MonotoneFn, s: float) -> tuple[float, float]:
     lo, hi = _constant_beyond(fn) or (0.0, 0.0)
     pad = 9.0 * np.sqrt(s)
     return lo - pad, hi + pad
+
+
+def smoothed_values(fn: StepFn, s: float, x, deriv: bool = False) -> np.ndarray:
+    """fn * gamma_s at the points x, or its slope with deriv (which needs s > 0).
+
+    Interpolates on [x.min, x.max], cut where the Gaussian tail bound puts
+    fn * gamma_s within 2^-60 of its range from its bounds (points beyond get
+    the end value). A fit at degree + 1 second-kind points is certified at the
+    degree first-kind points between them, values to 1e-13 of (upper - lower)
+    and slopes to 1e-13 of the largest sampled slope; a failed fit doubles its
+    degree, reusing both point sets. The exact sweep is returned for s == 0,
+    at most 64 thresholds, an empty cut, or once fit plus certification would
+    cost more than _FIT_SHARE of the points.
+    """
+    x = np.asarray(x, dtype=float)
+    evaluate = fn.heat_convolve_deriv if deriv else fn.heat_convolve
+    if s == 0.0 or fn.thresholds.size <= 64 or x.size == 0:
+        return evaluate(s, x)
+    root = np.sqrt(s)
+    a = max(float(x.min()), fn.thresholds[0] + root * ndtri(2.0 ** -60))
+    b = min(float(x.max()), fn.thresholds[-1] - root * ndtri(2.0 ** -60))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    degree = int(np.ceil(_DEGREE_PER_WIDTH * half / root))
+    values = None
+    while half > 0 and 2 * degree + 1 <= _FIT_SHARE * x.size:
+        if values is None:
+            values = evaluate(s, mid + half * np.cos(np.pi * np.arange(degree + 1) / degree))
+        between = np.cos(np.pi * np.arange(1, 2 * degree, 2) / (2 * degree))
+        check = evaluate(s, mid + half * between)
+        # the sweep at the fit's second-kind points is already in values
+        coef = _chebyshev_fit(lambda _: values, a, b, degree)
+        scale = max(np.max(values), np.max(check)) if deriv else fn.upper - fn.lower
+        if np.max(np.abs(chebval(between, coef) - check)) <= 1e-13 * scale:
+            return chebval((np.clip(x, a, b) - mid) / half, coef)
+        # both point sets together are the second-kind points of twice the degree
+        values, degree = np.insert(values, np.arange(1, degree + 1), check), 2 * degree
+    return evaluate(s, x)
 
 
 def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> np.ndarray:

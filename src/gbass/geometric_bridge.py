@@ -18,7 +18,7 @@ from .bass_solver import (
     _terminal_level_masses,
     solve_decomposed,
 )
-from .gaussian import gauss_hermite, heat_convolve_inverse
+from .gaussian import gauss_hermite, heat_convolve_inverse, smoothed_values
 from .measures import (
     GridMeasure,
     MeasureError,
@@ -43,6 +43,14 @@ class GeometricSolution:
     arithmetic: BassSolution
     component_map: list[tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=list)
+
+
+def component_solution(gsol: GeometricSolution, component_index: int):
+    """The arithmetic solution of one component; ValueError for an index out of range."""
+    comps = gsol.arithmetic.component_solutions
+    if not 0 <= component_index < len(comps):
+        raise ValueError(f"component_index {component_index} outside [0, {len(comps)})")
+    return comps[component_index]
 
 
 def to_arithmetic(mu0: GridMeasure, mu1: GridMeasure) -> tuple[GridMeasure, GridMeasure, float]:
@@ -129,7 +137,8 @@ def marginal_flow(gsol: GeometricSolution, t: float) -> GridMeasure:
     initial atom, pushed through the smoothed generating function, and
     reflected back through s = m / y with the density weighting y. The nodes
     integrate fn * gamma_{1-t} against the Gaussian, so the mean m is kept to
-    quadrature accuracy.
+    quadrature accuracy. Interior times read the nodes' values from
+    smoothed_values, certified to 1e-13 of fn's range.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
@@ -149,7 +158,7 @@ def marginal_flow(gsol: GeometricSolution, t: float) -> GridMeasure:
         else:
             gh_nodes, gh_weights = gauss_hermite(max(12, FLOW_GRID_MAX // (2 * n_alpha)))
             nodes = (csol.alpha.atoms[:, None] + np.sqrt(t) * gh_nodes[None, :]).ravel()
-            vals = csol.fn.heat_convolve(1.0 - t, nodes)
+            vals = smoothed_values(csol.fn, 1.0 - t, nodes)
             w = np.outer(csol.alpha.weights, gh_weights).ravel() * comp.mass
         atoms_parts.append(np.atleast_1d(vals))
         weights_parts.append(np.atleast_1d(w))
@@ -177,7 +186,7 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float,
         raise ValueError(f"time {t} must lie strictly inside (0, 1)")
     if s <= 0:
         raise ValueError(f"price must be positive, got {s}")
-    csol = gsol.arithmetic.component_solutions[component_index]
+    csol = component_solution(gsol, component_index)
     target = gsol.m / s
     if not csol.fn.lower < target < csol.fn.upper:
         raise ValueError(

@@ -5,8 +5,9 @@ marginals (component pasting plus static mass); the weighted engine reads the
 price m / F_t(W_t) off those paths, weighted by F_1(W_1) / m. The SDE engine
 samples the price measure itself, where by Girsanov W gains the drift
 d/dx log F_t, and S_t = m / F_t(W_t) needs no clamping. Both read F_t through
-``_eval_smoothed``. Every path owns a counter-based random stream keyed by
-(seed, path index), so ensembles are reproducible independently of chunking.
+``smoothed_values``, certified to 1e-13. Every path owns a counter-based random
+stream keyed by (seed, path index), so ensembles are reproducible independently
+of chunking.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .bass_solver import BassSolution
-from .geometric_bridge import GeometricSolution
-from .gaussian import StepFn
-from .measures import GridMeasure, make_grid_measure, quantile, wasserstein1
+from .geometric_bridge import GeometricSolution, component_solution
+from .gaussian import smoothed_values
+from .measures import make_grid_measure, quantile, wasserstein1
 
 _CHUNK = 16384
 _MIN_U = 2.0 ** -53
-# _eval_smoothed sweeps exactly up to this many points, and beyond them
-# interpolates a table of this many points
-_TABLE = 1025
 
 
 @dataclass(frozen=True)
@@ -53,37 +51,27 @@ def _time_grid(n_steps: int, time_grid) -> np.ndarray:
     return grid
 
 
-def _path_uniforms(seed: int, index: int, count: int) -> np.ndarray:
-    gen = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
+def _path_uniforms(seed: int, index: int, count: int, gen: Generator | None = None) -> np.ndarray:
+    """The first count uniforms of the Philox stream keyed by (seed, index), reusing gen if given."""
+    key = np.array([seed, index], dtype=np.uint64)
+    if gen is None:
+        gen = Generator(Philox(key=key))
+    else:  # the state of a fresh Philox(key=key), without its set-up
+        gen.bit_generator.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+                                   "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return np.maximum(gen.random(count), _MIN_U)
 
 
 def _uniform_blocks(seed: int, n_paths: int, count: int):
     """Yield (start, stop, block): the first count uniforms of paths start..stop-1, by row."""
+    gen = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)
         block = np.empty((stop - start, count))
         for i in range(start, stop):
-            block[i - start] = _path_uniforms(seed, i, count)
+            block[i - start] = _path_uniforms(seed, i, count, gen)
         yield start, stop, block
-
-
-def _eval_smoothed(fn: StepFn, s: float, x: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """fn * gamma_s at the points x, or its slope with deriv (which needs s > 0).
-
-    Exact when s == 0 (fn itself), when fn has at most 64 thresholds or when
-    x has at most _TABLE points; otherwise linear interpolation in a
-    _TABLE-point table of the exact values over [x.min, x.max].
-    """
-    if s == 0.0 and not deriv:
-        return fn(x)
-    evaluate = fn.heat_convolve_deriv if deriv else fn.heat_convolve
-    if fn.thresholds.size <= 64 or x.size <= _TABLE:
-        return evaluate(s, x)
-    lo, hi = float(x.min()), float(x.max())
-    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    grid = np.linspace(lo - pad, hi + pad, _TABLE)
-    return np.interp(x, grid, evaluate(s, grid))
 
 
 def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int,
@@ -91,8 +79,9 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
     """Sample martingale paths as the smoothed generating function of a Brownian path.
 
     Each path draws its component, its initial point, and its increments from
-    its own stream; marginals at grid times are exact up to _eval_smoothed's
-    table.
+    its own stream. At t = 0 a path sits on the source atom its alpha atom
+    maps to; later times read F_t through smoothed_values, so marginals at
+    grid times are exact up to its certified 1e-13 of the range.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
@@ -127,8 +116,10 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
         rows = np.flatnonzero(labels == ci)
         if rows.size == 0:
             continue
-        for k, t in enumerate(grid):
-            paths[rows, k] = _eval_smoothed(csol.fn, 1.0 - t, paths[rows, k])
+        # W_0 is an alpha atom a_i, and F_0(a_i) = source.atoms[i] to the solver's residual
+        paths[rows, 0] = csol.source.atoms[np.searchsorted(csol.alpha.atoms, paths[rows, 0])]
+        for k, t in enumerate(grid[1:], start=1):
+            paths[rows, k] = smoothed_values(csol.fn, 1.0 - t, paths[rows, k])
     static = np.flatnonzero(labels == 0)
     if static.size:
         paths[static, 1:] = paths[static, :1]
@@ -162,8 +153,9 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
     drift d/dx log F_t, where F_t = fn * gamma_{1-t}. W_0 is drawn from alpha
     reweighted by F_0(a_i) = source.atoms[i], which puts S_0 exactly on the
     initial marginal; then W += (F_t' / F_t)(W) dt + sqrt(dt) ndtri(u), with
-    F_t and F_t' from _eval_smoothed, and S_1 = m / fn(W_1) lies on the
+    F_t and F_t' from smoothed_values, and S_1 = m / fn(W_1) lies on the
     terminal atoms. S never leaves (m / upper, m / lower), so clamp_count is 0.
+    A component_index outside the solved components raises ValueError.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
@@ -181,7 +173,7 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
         # nothing moves: constant paths drawn from the initial marginal
         paths = np.repeat(quantile(gsol.mu0, u0)[:, None], k_steps + 1, axis=1)
         return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
-    csol = gsol.arithmetic.component_solutions[component_index]
+    csol = component_solution(gsol, component_index)
     fn, source, m = csol.fn, csol.source, gsol.m
     # alpha's atoms solve F_0(a_i) = source.atoms[i]: each path draws the
     # index i of its initial atom, and F_0(W_0) is that source atom
@@ -192,9 +184,9 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
     paths = np.empty((n_paths, k_steps + 1))
     for k in range(k_steps):
         s = 1.0 - grid[k]
-        value = source.atoms[pick] if k == 0 else _eval_smoothed(fn, s, w)
+        value = source.atoms[pick] if k == 0 else smoothed_values(fn, s, w)
         paths[:, k] = m / value
-        w = w + _eval_smoothed(fn, s, w, deriv=True) / value * dt[k] + incr[:, k]
+        w = w + smoothed_values(fn, s, w, deriv=True) / value * dt[k] + incr[:, k]
     paths[:, -1] = m / fn(w)
     return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
 

@@ -26,14 +26,23 @@ def gbm_solution(gbm_pair):
     return g.solve_geometric(*gbm_pair)
 
 
-@pytest.fixture(scope="session")
-def bench_201():
-    """The benchmark's lognormal pair at 201 atoms; its Bass martingale is GBM."""
+def solve_bench_pair(grid_size: int) -> g.GeometricSolution:
+    """The benchmark's lognormal pair at grid_size atoms; its Bass martingale is GBM."""
     config = {
-        "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": 201},
-        "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "grid_size": 201},
+        "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": grid_size},
+        "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "grid_size": grid_size},
     }
     return g.solve_geometric(*build_marginals(config, Path(".")))
+
+
+@pytest.fixture(scope="session")
+def bench_201():
+    return solve_bench_pair(201)
+
+
+@pytest.fixture(scope="session")
+def bench_1001():
+    return solve_bench_pair(1001)
 
 
 @pytest.fixture(scope="session")

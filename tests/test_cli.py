@@ -62,3 +62,12 @@ def test_simulate_step_pair_with_both_engines(tmp_path):
     # the last column before the weight is the terminal price
     terminal = np.loadtxt(out / "paths_sde.csv", delimiter=",", skiprows=1)[:, -2]
     assert np.all((terminal == 0.5) | (terminal == 1.5))
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_sde_component_index_out_of_range_is_an_input_error(tmp_path, capsys, index):
+    config = write_config(tmp_path, simulation={
+        "engines": ["sde"], "n_steps": 5, "n_paths": 10, "component_index": index})
+    assert cli.run(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: component_index") and err.count("\n") == 1

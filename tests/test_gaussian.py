@@ -1,12 +1,9 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gbass as g
 from gbass import gaussian
-from gbass.cli import build_marginals
 from gbass.gaussian import (
     gauss_hermite,
     InversionError,
@@ -487,18 +484,14 @@ def rows_counter(monkeypatch):
     return rows
 
 
+@pytest.fixture(params=[201, 1001])
+def bench(request):
+    """The benchmark's lognormal pair at 201 and at 1001 atoms."""
+    return request.getfixturevalue(f"bench_{request.param}")
+
+
 class TestChebyshevProxy:
     """The proxy of the smoothed map seeds the exact solve on the benchmark pairs."""
-
-    @pytest.fixture(scope="class", params=[201, 1001])
-    def bench(self, request):
-        config = {
-            "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04,
-                    "grid_size": request.param},
-            "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16,
-                    "grid_size": request.param},
-        }
-        return g.solve_geometric(*build_marginals(config, Path(".")))
 
     def test_warm_solves_close_at_the_seed(self, bench, monkeypatch):
         csol = bench.arithmetic.component_solutions[0]
@@ -520,3 +513,74 @@ class TestChebyshevProxy:
         vol = g.sde_volatility(bench, 0, 0.5, 1.0)
         assert rows["fits"] == 0 and rows["exact"] > 0
         assert 0.3 < vol < 0.4
+
+
+def count_fits(monkeypatch, shift: float = 0.0) -> list:
+    """Record the degree of every _chebyshev_fit call; shift its coefficients when asked."""
+    fits = []
+    fit = gaussian._chebyshev_fit
+
+    def counted(f, a, b, degree):
+        fits.append(degree)
+        return fit(f, a, b, degree) + shift
+
+    monkeypatch.setattr(gaussian, "_chebyshev_fit", counted)
+    return fits
+
+
+def exact_sweep(fn, s, x, deriv):
+    return fn.heat_convolve_deriv(s, x) if deriv else fn.heat_convolve(s, x)
+
+
+class TestSmoothedValues:
+    """The certified surface of fn * gamma_s against the exact sweep."""
+
+    @staticmethod
+    def points(fn, n=20000):
+        return np.linspace(fn.thresholds[0] - 1.0, fn.thresholds[-1] + 1.0, n)
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    @pytest.mark.parametrize("s", [0.99, 0.5, 0.1, 0.01])
+    def test_certified_on_bench_pairs(self, bench, s, deriv, monkeypatch):
+        fn = bench.arithmetic.component_solutions[0].fn
+        x = self.points(fn)
+        fits = count_fits(monkeypatch)
+        got = gaussian.smoothed_values(fn, s, x, deriv)
+        exact = exact_sweep(fn, s, x, deriv)
+        scale = np.max(exact) if deriv else fn.upper - fn.lower
+        assert fits
+        assert np.max(np.abs(got - exact)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_failed_certification_returns_the_exact_sweep(self, bench_201, deriv, monkeypatch):
+        fn = bench_201.arithmetic.component_solutions[0].fn
+        x = self.points(fn)
+        fits = count_fits(monkeypatch, shift=1e-9)
+        got = gaussian.smoothed_values(fn, 0.5, x, deriv)
+        # every doubling was tried until the cost rule stopped it
+        assert len(fits) >= 2 and 2 * (2 * fits[-1]) + 1 > gaussian._FIT_SHARE * x.size
+        assert np.array_equal(got, exact_sweep(fn, 0.5, x, deriv))
+
+    @pytest.mark.parametrize("case", ["few points", "s = 0", "few thresholds", "empty cut"])
+    def test_exact_cases_make_no_fit(self, bench_201, step_solution, case, monkeypatch):
+        fn = bench_201.arithmetic.component_solutions[0].fn
+        x, s = self.points(fn), 0.5
+        if case == "few points":
+            # the first degree is 51: fit plus certification cost 103 rows, above 40 / 4
+            x = np.linspace(x[0], x[-1], 40)
+        elif case == "s = 0":
+            s = 0.0
+        elif case == "few thresholds":
+            fn = step_solution.fn
+        else:
+            # the cut ends 8.8 sqrt(s) = 6.2 above the last threshold
+            x = fn.thresholds[-1] + np.linspace(10.0, 11.0, x.size)
+        fits = count_fits(monkeypatch)
+        assert np.array_equal(gaussian.smoothed_values(fn, s, x), fn.heat_convolve(s, x))
+        assert fits == []
+
+    def test_flow_sweeps_few_exact_rows(self, bench_1001, monkeypatch):
+        # an exact sweep of t = 0.5 evaluates all 1000 x 12 Gauss-Hermite nodes, 12 012 rows
+        rows = rows_counter(monkeypatch)
+        g.marginal_flow(bench_1001, 0.5)
+        assert rows["fits"] >= 1 and rows["exact"] <= 2000

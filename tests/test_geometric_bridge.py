@@ -25,3 +25,11 @@ def test_update_alpha_meets_default_tol(bench_201):
     csol = bench_201.arithmetic.component_solutions[0]
     alpha = g.update_alpha(csol.source, csol.fn)
     assert np.max(np.abs(csol.fn.heat_convolve(1.0, alpha.atoms) - csol.source.atoms)) <= 1e-13
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_component_index_out_of_range_raises(bench_201, index):
+    with pytest.raises(ValueError, match="component_index"):
+        g.sde_volatility(bench_201, index, 0.5, 1.0)
+    with pytest.raises(ValueError, match="component_index"):
+        g.simulate_geometric_sde(bench_201, index, 2, 3, 0)

@@ -33,7 +33,7 @@ def nearest_relative_gap(values, atoms):
 
 @pytest.mark.parametrize("engine", ["weighted", "sde"])
 def test_chunks_do_not_change_paths(bench_201, monkeypatch, engine):
-    # more paths than _eval_smoothed's table size, so the table is exercised
+    # enough paths for smoothed_values to fit its interpolant at every step
     whole = run_engine(engine, bench_201, 5, 1100, SEED)
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     chunked = run_engine(engine, bench_201, 5, 1100, SEED)
@@ -41,15 +41,24 @@ def test_chunks_do_not_change_paths(bench_201, monkeypatch, engine):
     assert np.array_equal(whole.weights, chunked.weights)
 
 
-@pytest.mark.parametrize("engine", ["weighted", "sde"])
-def test_gbm_log_quadratic_variation(bench_201, ensembles, engine):
-    ens = ensembles[engine]
+def check_gbm_log_quadratic_variation(ens):
     stats = g.ensemble_stats(ens)
     # E[<log S>] over the grid of GBM with sigma^2 = 0.12: sigma^2 + sigma^4 sum(dt^2) / 4
     expected = 0.12 + 0.12 ** 2 * np.sum(np.diff(ens.time_grid) ** 2) / 4.0
     assert abs(stats.log_qv_mean - expected) <= SIGMAS * stats.log_qv_se
     for mean, se in stats.martingale_tests.values():
         assert abs(mean) <= SIGMAS * se
+
+
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_gbm_log_quadratic_variation(bench_201, ensembles, engine):
+    check_gbm_log_quadratic_variation(ensembles[engine])
+
+
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_gbm_log_quadratic_variation_at_100_steps(bench_201, engine):
+    # 20 000 paths x 100 steps: both engines together take about 1.1 s on a 2-core host
+    check_gbm_log_quadratic_variation(run_engine(engine, bench_201, 100, N_PATHS, SEED))
 
 
 @pytest.mark.parametrize("engine", ["weighted", "sde"])
@@ -62,8 +71,9 @@ def test_moments_match_marginal_flow(bench_201, ensembles, engine):
             assert abs(mean - flow.weights @ flow.atoms ** power) <= SIGMAS * se, (t, power)
 
 
-def test_sde_paths_start_and_end_on_the_marginals(bench_201, ensembles):
-    ens = ensembles["sde"]
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_paths_start_and_end_on_the_marginals(bench_201, ensembles, engine):
+    ens = ensembles[engine]
     assert ens.clamp_count == 0
     assert np.max(nearest_relative_gap(ens.paths[:, 0], bench_201.mu0.atoms)) <= 1e-12
     assert np.max(nearest_relative_gap(ens.paths[:, -1], bench_201.mu1.atoms)) <= 1e-14
@@ -81,3 +91,10 @@ def test_sde_without_components_holds_the_initial_draw():
     assert np.all(ens.paths == ens.paths[:, :1])
     first = np.array([simulate._path_uniforms(SEED, i, 1)[0] for i in range(50)])
     assert np.array_equal(ens.paths[:, 0], g.quantile(mu, first))
+
+
+def test_reused_stream_matches_a_fresh_one_per_path(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    rows = np.concatenate([block for _, _, block in simulate._uniform_blocks(SEED, 30, 12)])
+    fresh = np.array([simulate._path_uniforms(SEED, i, 12) for i in range(30)])
+    assert np.array_equal(rows, fresh)
