@@ -209,41 +209,54 @@ class ComponentDecomposition:
 def _component_intervals(nu0: GridMeasure, nu1: GridMeasure) -> list[tuple[float, float]]:
     grid = np.union1d(nu0.atoms, nu1.atoms)
     gap = potential(nu1, grid) - potential(nu0, grid)
-    pos = gap > DECOMPOSITION_TOLERANCE
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    n = grid.size
-    while i < n:
-        if not pos[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and pos[j + 1]:
-            j += 1
-        if i == 0:
-            lo = float(grid[0])
-        else:
-            d0, d1 = gap[i - 1], gap[i]
-            lo = float(grid[i - 1]) if d0 >= 0 else float(
-                grid[i - 1] + (grid[i] - grid[i - 1]) * (-d0) / (d1 - d0))
-        if j == n - 1:
-            hi = float(grid[-1])
-        else:
-            d0, d1 = gap[j], gap[j + 1]
-            hi = float(grid[j + 1]) if d1 >= 0 else float(
-                grid[j] + (grid[j + 1] - grid[j]) * d0 / (d0 - d1))
-        intervals.append((lo, hi))
-        i = j + 1
-    return intervals
+    run = np.diff(np.concatenate([[0], (gap > DECOMPOSITION_TOLERANCE).astype(int), [0]]))
+    first, last = np.flatnonzero(run == 1), np.flatnonzero(run == -1) - 1
+    # a run of positive gap ends at the neighbouring grid point (or the grid's
+    # own end), or at the interpolated zero crossing when rounding left that
+    # point's gap negative
+    before, after = np.maximum(first - 1, 0), np.minimum(last + 1, grid.size - 1)
+    lo, hi = grid[before], grid[after]
+    cross = gap[before] < 0
+    p, q = before[cross], first[cross]
+    lo[cross] = grid[p] + (grid[q] - grid[p]) * -gap[p] / (gap[q] - gap[p])
+    cross = gap[after] < 0
+    p, q = last[cross], after[cross]
+    hi[cross] = grid[p] + (grid[q] - grid[p]) * gap[p] / (gap[p] - gap[q])
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _near(x: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), sorted, with |x[i] - points[j]| <= 1e-12 max(1, |x[i]|); points sorted."""
+    tol = 1e-12 * np.maximum(1.0, np.abs(x))
+    start = np.searchsorted(points, x - 2.0 * tol)
+    count = np.searchsorted(points, x + 2.0 * tol, side="right") - start
+    i = np.repeat(np.arange(x.size), count)
+    j = np.arange(i.size) + np.repeat(start - np.cumsum(count) + count, count)
+    hit = np.abs(x[i] - points[j]) <= tol[i]
+    return i[hit], j[hit]
+
+
+def _groups(labels: np.ndarray, k: int, atoms: np.ndarray, weights: np.ndarray) -> list:
+    """(atoms, weights) of each label 0..k."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.searchsorted(labels[order], np.arange(1, k + 1))
+    return list(zip(np.split(atoms[order], cuts), np.split(weights[order], cuts)))
 
 
 def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecomposition:
     """Split a convex-ordered pair into irreducible intervals plus the static set.
 
     Components are the maximal open intervals where the potential of nu1
-    strictly exceeds that of nu0; mass of nu0 outside them never moves.
-    Atoms of nu1 sitting exactly on a shared component endpoint are assigned
-    left-first, splitting only as needed to balance component masses.
+    exceeds that of nu0 by more than DECOMPOSITION_TOLERANCE. An atom strictly
+    inside an interval belongs to its component; other nu0 atoms are static.
+    An nu1 atom outside every interval keeps back the static nu0 mass within
+    1e-12 max(1, |x|) of it, and only the excess moves: all of it to an
+    interval with an end that close; on an end shared by two intervals (last,
+    in increasing x) min(excess, max(deficit, 0)) to the left component, whose
+    deficit is the nu0 mass it still misses, and the rest to the right one;
+    else (shoulder mass, where the gap dips below the tolerance) to the
+    nearest interval. A deficit above 1e-9 left in any component raises
+    MeasureError.
     """
     report = check_convex_order(nu0, nu1)
     if not report.in_convex_order:
@@ -253,92 +266,60 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
             f"equal means: {report.equal_means})")
     intervals = _component_intervals(nu0, nu1)
     k = len(intervals)
-    los = np.array([iv[0] for iv in intervals])
-    his = np.array([iv[1] for iv in intervals])
+    los, his = np.array(intervals).reshape(-1, 2).T
+    x, w = nu1.atoms, nu1.weights
+    both = np.concatenate([nu0.atoms, x])
+    below, passed = np.searchsorted(los, both), np.searchsorted(his, both, side="right")
+    # label k marks an atom outside every open interval
+    label0, label1 = np.split(np.where(below > passed, passed, k), [nu0.n])
+    mass = np.bincount(label0, nu0.weights, minlength=k + 1)  # running sums in x order
+    static = label0 == k
 
-    def locate(x: float) -> int:
-        """Index of the open interval containing x, else -1."""
-        i = int(np.searchsorted(los, x, side="right")) - 1
-        if i >= 0 and los[i] < x < his[i]:
-            return i
-        return -1
+    inside = label1 < k
+    i, j = _near(x, nu0.atoms[static])
+    kept = np.bincount(i, nu0.weights[static][j], minlength=x.size)  # static nu0 mass at x
+    excess = np.where(inside, w, np.maximum(w - kept, 0.0))
+    left, right = np.full(x.size, -1), np.full(x.size, -1)
+    for found, ends in ((left, his), (right, los)):
+        i, j = _near(x, ends)
+        rows, first = np.unique(i, return_index=True)
+        found[rows] = j[first]
+    after = np.searchsorted(his, x)  # the interval right of a shoulder atom
+    nearest = np.where(x - np.append(-np.inf, his)[after] <= np.append(los, np.inf)[after] - x,
+                       after - 1, after)
+    target = np.where(inside, label1,
+                      np.where(left >= 0, left, np.where(right >= 0, right, nearest)))
+    end = ~inside & (np.maximum(left, right) >= 0)
+    shared = ~inside & (np.minimum(left, right) >= 0)
 
-    def at_endpoint(x: float, e: float) -> bool:
-        return abs(x - e) <= 1e-12 * max(1.0, abs(x))
-
-    # nu0: strict interior goes to its component, the rest never moves
-    comp_n0_atoms: list[list[float]] = [[] for _ in range(k)]
-    comp_n0_weights: list[list[float]] = [[] for _ in range(k)]
-    id_atoms: list[float] = []
-    id_weights: list[float] = []
-    for x, w in zip(nu0.atoms, nu0.weights):
-        i = locate(float(x))
-        if i >= 0:
-            comp_n0_atoms[i].append(float(x))
-            comp_n0_weights[i].append(float(w))
-        else:
-            id_atoms.append(float(x))
-            id_weights.append(float(w))
-    comp_mass = np.array([sum(ws) for ws in comp_n0_weights])
-
-    # nu1: interior atoms are forced; endpoint atoms cover whatever mass is missing
-    comp_n1_atoms: list[list[float]] = [[] for _ in range(k)]
-    comp_n1_weights: list[list[float]] = [[] for _ in range(k)]
-    deficit = comp_mass.copy()
-    endpoint_atoms: list[tuple[float, float, int, int]] = []  # (x, w, left comp, right comp)
-    for x, w in zip(nu1.atoms, nu1.weights):
-        x, w = float(x), float(w)
-        i = locate(x)
-        if i >= 0:
-            comp_n1_atoms[i].append(x)
-            comp_n1_weights[i].append(w)
-            deficit[i] -= w
-            continue
-        # mass that nu0 keeps at this exact point stays put
-        static = sum(w0 for x0, w0 in zip(id_atoms, id_weights) if at_endpoint(x, x0))
-        left = next((j for j in range(k) if at_endpoint(x, his[j])), -1)
-        right = next((j for j in range(k) if at_endpoint(x, los[j])), -1)
-        if left >= 0 or right >= 0:
-            endpoint_atoms.append((x, w - static, left, right))
-            continue
-        excess = w - static
-        if excess <= 0 or k == 0:
-            continue  # fully static; matched by the nu0 identity part
-        # moving mass in the shoulder where the potential gap dips below the
-        # tolerance belongs to the closest interval
-        dists = np.where(x < los, los - x, np.where(x > his, x - his, 0.0))
-        nearest = int(np.argmin(dists))
-        comp_n1_atoms[nearest].append(x)
-        comp_n1_weights[nearest].append(excess)
-        deficit[nearest] -= excess
-
-    for x, w, left, right in endpoint_atoms:
-        remaining = w
-        if left >= 0:
-            take = min(remaining, max(deficit[left], 0.0)) if right >= 0 else remaining
-            if take > 0:
-                comp_n1_atoms[left].append(x)
-                comp_n1_weights[left].append(take)
-                deficit[left] -= take
-                remaining -= take
-        if right >= 0 and remaining > 0:
-            comp_n1_atoms[right].append(x)
-            comp_n1_weights[right].append(remaining)
-            deficit[right] -= remaining
+    # the other moves leave the deficits in the order of an atom-by-atom pass,
+    # forced and shoulder atoms by x, then atoms on one end by x, so the
+    # atoms on shared ends read the same bits
+    moves = np.flatnonzero((excess > 0) & (target >= 0) & ~shared)
+    moves = moves[np.argsort(end[moves], kind="stable")]
+    deficit = np.bincount(np.concatenate([np.arange(k), target[moves]]),
+                          np.concatenate([mass[:k], -excess[moves]]), minlength=k)
+    # then each atom on a shared end reads the deficit the one before it left
+    rest = np.zeros(x.size)
+    for s in np.flatnonzero(shared):
+        take = max(min(excess[s], deficit[left[s]]), 0.0)
+        deficit[left[s]] -= take
+        deficit[right[s]] -= excess[s] - take
+        excess[s], rest[s] = take, excess[s] - take
 
     if k and np.max(np.abs(deficit)) > 1e-9:
         raise MeasureError(
             f"component mass balance failed (worst residual {np.max(np.abs(deficit)):.3e})")
 
-    components = []
-    for i in range(k):
-        n0 = make_grid_measure(comp_n0_atoms[i], comp_n0_weights[i])
-        n1 = make_grid_measure(comp_n1_atoms[i], comp_n1_weights[i])
-        components.append(MeasureComponent(intervals[i], n0, n1, float(comp_mass[i])))
-
-    id_mass = float(sum(id_weights))
-    identity = make_grid_measure(id_atoms, id_weights) if id_mass > 0 else None
-    return ComponentDecomposition(id_mass, identity, components)
+    labels, weights = np.concatenate([target, right]), np.concatenate([excess, rest])
+    keep = (weights > 0) & (labels >= 0)
+    parts0 = _groups(label0, k, nu0.atoms, nu0.weights)
+    parts1 = _groups(labels[keep], k, np.concatenate([x, x])[keep], weights[keep])
+    components = [MeasureComponent(intervals[c], make_grid_measure(*parts0[c]),
+                                   make_grid_measure(*parts1[c]), float(mass[c]))
+                  for c in range(k)]
+    identity = make_grid_measure(*parts0[k]) if mass[k] > 0 else None
+    return ComponentDecomposition(float(mass[k]), identity, components)
 
 
 def reflect_measure(mu: GridMeasure, normalize: bool = False) -> GridMeasure:

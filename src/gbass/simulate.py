@@ -42,15 +42,6 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-def _time_grid(n_steps: int, time_grid) -> np.ndarray:
-    if time_grid is None:
-        return np.linspace(0.0, 1.0, n_steps + 1)
-    grid = np.asarray(time_grid, dtype=float)
-    if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must increase strictly from 0 to 1")
-    return grid
-
-
 def _path_uniforms(seed: int, index: int, count: int, gen: Generator | None = None) -> np.ndarray:
     """The first count uniforms of the Philox stream keyed by (seed, index), reusing gen if given."""
     key = np.array([seed, index], dtype=np.uint64)
@@ -74,8 +65,7 @@ def _uniform_blocks(seed: int, n_paths: int, count: int):
         yield start, stop, block
 
 
-def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int,
-                        time_grid=None) -> PathEnsemble:
+def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int) -> PathEnsemble:
     """Sample martingale paths as the smoothed generating function of a Brownian path.
 
     Each path draws its component, its initial point, and its increments from
@@ -85,19 +75,18 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
-    grid = _time_grid(n_steps, time_grid)
-    k_steps = grid.size - 1
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
     decomp = sol.decomposition
     probs = np.array([decomp.identity_set_mass] +
                      [c.mass for c in decomp.components])
     cum_probs = np.cumsum(probs)
     cum_probs[-1] = 1.0
 
-    paths = np.empty((n_paths, k_steps + 1))
+    paths = np.empty((n_paths, n_steps + 1))
     labels = np.empty(n_paths, dtype=np.int64)
     sqrt_dt = np.sqrt(np.diff(grid))
 
-    for start, stop, block in _uniform_blocks(seed, n_paths, k_steps + 2):
+    for start, stop, block in _uniform_blocks(seed, n_paths, n_steps + 2):
         lab = np.searchsorted(cum_probs, block[:, 0], side="right")
         labels[start:stop] = lab
         w0 = np.empty(stop - start)
@@ -128,13 +117,13 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
 
 
 def simulate_geometric_weighted(gsol: GeometricSolution, n_steps: int, n_paths: int,
-                                seed: int, time_grid=None) -> PathEnsemble:
+                                seed: int) -> PathEnsemble:
     """Price paths as m over the arithmetic paths, importance-weighted by the terminal value.
 
     Expectations of path functionals under the price measure are weighted
     averages over this ensemble; the weights have mean one in law.
     """
-    base = simulate_arithmetic(gsol.arithmetic, n_steps, n_paths, seed, time_grid)
+    base = simulate_arithmetic(gsol.arithmetic, n_steps, n_paths, seed)
     if np.any(base.paths <= 0):
         raise RuntimeError(
             "internal error: nonpositive driving value; the terminal marginal "
@@ -145,8 +134,7 @@ def simulate_geometric_weighted(gsol: GeometricSolution, n_steps: int, n_paths: 
 
 
 def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
-                           n_steps: int, n_paths: int, seed: int,
-                           time_grid=None) -> PathEnsemble:
+                           n_steps: int, n_paths: int, seed: int) -> PathEnsemble:
     """Price paths S_t = m / F_t(W_t) under the price measure, on a single component.
 
     Under the price measure the driving Brownian motion W has the Girsanov
@@ -159,19 +147,18 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
-    grid = _time_grid(n_steps, time_grid)
-    k_steps = grid.size - 1
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
     dt = np.diff(grid)
     sqrt_dt = np.sqrt(dt)
     u0 = np.empty(n_paths)
-    incr = np.empty((n_paths, k_steps))
-    for start, stop, block in _uniform_blocks(seed, n_paths, k_steps + 1):
+    incr = np.empty((n_paths, n_steps))
+    for start, stop, block in _uniform_blocks(seed, n_paths, n_steps + 1):
         u0[start:stop] = block[:, 0]
         ndtri(block[:, 1:], out=incr[start:stop])
     incr *= sqrt_dt[None, :]
     if not gsol.arithmetic.component_solutions:
         # nothing moves: constant paths drawn from the initial marginal
-        paths = np.repeat(quantile(gsol.mu0, u0)[:, None], k_steps + 1, axis=1)
+        paths = np.repeat(quantile(gsol.mu0, u0)[:, None], n_steps + 1, axis=1)
         return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
     csol = component_solution(gsol, component_index)
     fn, source, m = csol.fn, csol.source, gsol.m
@@ -181,8 +168,8 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
                     u0).astype(np.int64)
     w = csol.alpha.atoms[pick]
 
-    paths = np.empty((n_paths, k_steps + 1))
-    for k in range(k_steps):
+    paths = np.empty((n_paths, n_steps + 1))
+    for k in range(n_steps):
         s = 1.0 - grid[k]
         value = source.atoms[pick] if k == 0 else smoothed_values(fn, s, w)
         paths[:, k] = m / value
@@ -217,14 +204,14 @@ class SimulationStats:
                 for k, v in asdict(self).items()}
 
 
-def ensemble_stats(ens: PathEnsemble, reference_marginals=None,
-                   martingale_time: float = 0.5, log_qv: bool | None = None) -> SimulationStats:
+def ensemble_stats(ens: PathEnsemble, reference_marginals=None) -> SimulationStats:
     """Weighted summary of an ensemble.
 
     Reports per-time weighted means and variances, distances of the weighted
     initial/terminal laws to reference marginals when given, the realized
-    quadratic variation of log paths, and covariance tests of the martingale
-    property against the functions 1, s and 1/s of the intermediate state.
+    quadratic variation of log paths when every path is positive, and
+    covariance tests of the martingale property against the functions 1, s
+    and 1/s of the state at the grid time nearest 0.5.
     """
     w = ens.weights
     total = w.sum()
@@ -241,15 +228,12 @@ def ensemble_stats(ens: PathEnsemble, reference_marginals=None,
         if ref1 is not None:
             w1_terminal = wasserstein1(make_grid_measure(ens.paths[:, -1], w), ref1)
 
-    positive = bool(np.all(ens.paths > 0))
-    if log_qv is True and not positive:
-        raise ValueError("log quadratic variation requested on nonpositive paths")
     log_qv_mean = log_qv_se = None
-    if positive and log_qv is not False:
+    if np.all(ens.paths > 0):
         qv = np.sum(np.diff(np.log(ens.paths), axis=1) ** 2, axis=1)
         log_qv_mean, log_qv_se = _weighted_mean_se(qv, w)
 
-    idx = int(np.argmin(np.abs(ens.time_grid - martingale_time)))
+    idx = int(np.argmin(np.abs(ens.time_grid - 0.5)))
     mid = ens.paths[:, idx]
     last = ens.paths[:, -1]
     tests = {}

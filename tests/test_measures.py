@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import gbass as g
 from gbass.measures import MeasureError, _component_intervals
 from conftest import dilate, random_positive_measure
+from _oracles import sequential_decomposition
 
 
 def positive_measures(max_atoms=10):
@@ -13,6 +14,30 @@ def positive_measures(max_atoms=10):
         st.lists(st.floats(0.1, 10.0), min_size=1, max_size=max_atoms),
         st.lists(st.floats(0.05, 1.0), min_size=1, max_size=max_atoms),
     )
+
+
+def convex_ordered_pair(rng):
+    """A unit-mean pair mu0 <=_cx mu1: a partial dilation, on a real or an integer grid
+    (where neighbouring intervals share ends), or a block contraction."""
+    kind = rng.integers(3)
+    if kind < 2:
+        # spread a random subset of atoms into symmetric pairs; the rest stay put
+        if kind == 0:
+            mu = random_positive_measure(rng, 12)
+            d = rng.uniform(0.0, 0.9, mu.n) * mu.atoms * (rng.random(mu.n) < 0.7)
+        else:
+            atoms = np.unique(rng.integers(3, 30, 12)).astype(float)
+            mu = g.make_grid_measure(atoms, rng.uniform(0.05, 1.0, atoms.size))
+            d = rng.integers(0, 3, mu.n).astype(float)
+        m = mu.mean
+        return (g.make_grid_measure(mu.atoms / m, mu.weights),
+                g.make_grid_measure(np.concatenate([mu.atoms - d, mu.atoms + d]) / m,
+                                    np.concatenate([mu.weights, mu.weights]) / 2))
+    # merge random runs of consecutive atoms into their barycenters
+    mu = g.normalize_to_unit_mean(random_positive_measure(rng, 12))
+    blocks = np.split(np.arange(mu.n), np.flatnonzero(rng.random(mu.n - 1) < 0.4) + 1)
+    atoms = [mu.atoms[b] @ mu.weights[b] / mu.weights[b].sum() for b in blocks]
+    return g.make_grid_measure(atoms, [mu.weights[b].sum() for b in blocks]), mu
 
 
 class TestConstruction:
@@ -209,6 +234,98 @@ class TestComponents:
         assert len(dec.components) == 2
         assert dec.identity_set_mass == pytest.approx(0.2)
         assert dec.identity_restriction.atoms.tolist() == [2.0]
+
+    def test_shared_end_splits_left_first(self):
+        nu0 = g.make_grid_measure([1.0, 2.0], [0.5, 0.5])
+        nu1 = g.make_grid_measure([0.5, 1.5, 2.5], [0.25, 0.5, 0.25])
+        dec = g.irreducible_components(nu0, nu1)
+        assert [c.interval for c in dec.components] == [(0.5, 1.5), (1.5, 2.5)]
+        # the left component takes what it misses, the right one the rest
+        left, right = (c.nu1_restricted for c in dec.components)
+        assert left.atoms.tolist() == [0.5, 1.5]
+        assert right.atoms.tolist() == [1.5, 2.5]
+        masses = [c.mass for c in dec.components]
+        assert masses[0] * left.weights[1] == pytest.approx(0.25, abs=1e-15)
+        assert masses[1] * right.weights[0] == pytest.approx(0.25, abs=1e-15)
+        assert dec.identity_set_mass == 0.0
+
+    def test_static_mass_an_ulp_away_stays(self):
+        # the nu1 atom an ulp above the static nu0 atom at 3 is matched by it
+        # within the 1e-12 point tolerance, so nothing there moves
+        above = np.nextafter(3.0, 4.0)
+        nu0 = g.make_grid_measure([1.0, 3.0, 5.0], [1.0, 1.0, 1.0])
+        nu1 = g.make_grid_measure([0.5, 1.5, above, 4.5, 5.5], [0.5, 0.5, 1.0, 0.5, 0.5])
+        dec = g.irreducible_components(nu0, nu1)
+        assert dec.identity_restriction.atoms.tolist() == [3.0]
+        assert dec.identity_set_mass == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert [c.nu1_restricted.atoms.tolist() for c in dec.components] == [[0.5, 1.5],
+                                                                              [4.5, 5.5]]
+
+    def test_shoulder_atom_joins_nearest_interval(self):
+        # the 1e-9 atoms at 1.75 and 4.25 lift the gap by only 2.5e-10 beyond
+        # the interval ends, so they sit outside both intervals
+        p, q, r = 0.5 + 2.5e-10, 0.5 - 1.25e-9, 1e-9
+        nu0 = g.make_grid_measure([1.0, 5.0], [0.5, 0.5])
+        nu1 = g.make_grid_measure([0.5, 1.5, 1.75, 4.25, 4.5, 5.5], [p, q, r, r, q, p])
+        dec = g.irreducible_components(nu0, nu1)
+        assert [c.interval for c in dec.components] == [(0.5, 1.5), (4.5, 5.5)]
+        left, right = (c.nu1_restricted for c in dec.components)
+        assert left.atoms.tolist() == [0.5, 1.5, 1.75]
+        assert right.atoms.tolist() == [4.25, 4.5, 5.5]
+        assert left.weights[2] == pytest.approx(r, rel=1e-12)
+
+    def test_no_components_is_all_static(self):
+        nu0 = g.make_grid_measure([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
+        nu1 = g.make_grid_measure([1.0, np.nextafter(2.0, 3.0), 3.0], [0.2, 0.3, 0.5])
+        dec = g.irreducible_components(nu0, nu1)
+        assert dec.components == []
+        assert dec.identity_set_mass == pytest.approx(1.0, abs=1e-15)
+        assert dec.identity_restriction.atoms.tolist() == [1.0, 2.0, 3.0]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sequential_reference(self, seed):
+        mu0, mu1 = convex_ordered_pair(np.random.default_rng(seed))
+        for nu0, nu1 in ((mu0, mu1), (g.reflect_measure(mu0, normalize=True),
+                                      g.reflect_measure(mu1, normalize=True))):
+            grid = np.union1d(nu0.atoms, nu1.atoms)
+            gap = g.potential(nu1, grid) - g.potential(nu0, grid)
+            intervals, parts, static, deficit = sequential_decomposition(
+                grid, gap, nu0.atoms, nu0.weights, nu1.atoms, nu1.weights)
+            if deficit > 1e-9:
+                with pytest.raises(MeasureError, match="mass balance"):
+                    g.irreducible_components(nu0, nu1)
+                continue
+            dec = g.irreducible_components(nu0, nu1)
+            assert [c.interval for c in dec.components] == intervals
+            for comp, (a0, w0, a1, w1) in zip(dec.components, parts):
+                assert comp.mass == sum(w0)
+                for got, (a, w) in ((comp.nu0_restricted, (a0, w0)),
+                                    (comp.nu1_restricted, (a1, w1))):
+                    ref = g.make_grid_measure(a, w)
+                    assert np.array_equal(got.atoms, ref.atoms)
+                    assert np.array_equal(got.weights, ref.weights)
+            assert dec.identity_set_mass == sum(static[1])
+            if static[0]:
+                assert np.array_equal(dec.identity_restriction.atoms, static[0])
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_decomposition_rebuilds_the_pair(self, seed):
+        mu0, mu1 = convex_ordered_pair(np.random.default_rng(seed))
+        for nu0, nu1 in ((mu0, mu1), (g.reflect_measure(mu0, normalize=True),
+                                      g.reflect_measure(mu1, normalize=True))):
+            dec = g.irreducible_components(nu0, nu1)
+            total = dec.identity_set_mass + sum(c.mass for c in dec.components)
+            assert total == pytest.approx(1.0, abs=1e-12)
+            parts = [(c.nu1_restricted, c.mass) for c in dec.components]
+            if dec.identity_restriction is not None:
+                parts.append((dec.identity_restriction, dec.identity_set_mass))
+            for c in dec.components:
+                assert abs(c.nu0_restricted.mean - c.nu1_restricted.mean) <= 1e-12
+            rebuilt = g.make_grid_measure(np.concatenate([m.atoms for m, _ in parts]),
+                                          np.concatenate([m.weights * w for m, w in parts]))
+            assert g.wasserstein1(rebuilt, nu1) <= 1e-12
 
 
 class TestReflection:
