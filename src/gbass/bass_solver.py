@@ -27,7 +27,6 @@ from .measures import (
     ComponentDecomposition,
     GridMeasure,
     MeasureError,
-    check_convex_order,
     irreducible_components,
     make_grid_measure,
     wasserstein1,
@@ -154,11 +153,6 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
     (about 1e-11 on the 201-atom benchmark pair), not to update_alpha's tol.
     """
     params = params or SolverParams()
-    report = check_convex_order(nu0, nu1)
-    if not report.in_convex_order:
-        raise MeasureError(
-            f"pair is not in convex order (violation {report.max_violation:.3e}, "
-            f"equal means: {report.equal_means})")
     decomp = irreducible_components(nu0, nu1)
     if len(decomp.components) != 1 or decomp.identity_set_mass > 1e-12:
         raise MeasureError(

@@ -3,13 +3,14 @@
 Provides the Gaussian distribution primitives, CDF/quantile of a Gaussian
 mixture over an atomic measure, and the heat-kernel convolution F * gamma_s
 (with spatial derivative) for monotone functions, exact for step functions
-and Gauss-Hermite elsewhere. Three routines are the single home of what the
-package builds on: ``_gauss_sum`` is the one dense sweep
-sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, ``mixture_quantiles`` the
-one quantile split of alpha * gamma_s (CDF below one half, survival function
-above), and ``heat_convolve_inverse`` the one bracketed inverse of fn * gamma_s.
-``smoothed_values`` evaluates fn * gamma_s or its slope at many points, by a
-Chebyshev interpolant certified to 1e-13 of the range or by the exact sweep.
+and Gauss-Hermite elsewhere. ``_gauss_sum`` is the one dense sweep
+sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, and ``invert_increasing``
+the one bracketed monotone inversion. The two smoothed maps of the Bass fixed
+point each have one inversion built on it: ``mixture_quantiles`` inverts
+alpha * gamma_s (CDF below one half, survival function above), and
+``heat_convolve_inverse`` inverts fn * gamma_s. ``smoothed_values`` evaluates
+fn * gamma_s or its slope at many points, by a Chebyshev interpolant
+certified to 1e-13 of the range or by the exact sweep.
 
 Both inverses first fit one Chebyshev proxy of the smoothed map per call and
 solve on it (``_proxy_seed``). The proxy's roots only replace the warm start
@@ -34,10 +35,6 @@ DEFAULT_GH_NODES = 64
 _CHUNK = 4096
 # residual to which mixture quantiles are solved, on the exact CDF or SF
 _MIXTURE_TOL = 1e-13
-# invert_increasing tests its float64 floor only on rows still open after this
-# many steps, which keeps the test off the per-step cost of typical solves:
-# the warm solves of the benchmark pairs close in under 10
-_FLOOR_STEPS = 16
 # Chebyshev degree per unit of half-width / sqrt(s). Phi((x - c) / sqrt(s)) is
 # entire, so its interpolants on an interval of half-width L converge
 # super-geometrically once the degree passes a multiple of L / sqrt(s)
@@ -120,10 +117,6 @@ def smoothed_sf(alpha: GridMeasure, s: float, x):
     return float(out[0]) if x.ndim == 0 else out
 
 
-def _mixture_pdf(alpha: GridMeasure, s: float, x: np.ndarray) -> np.ndarray:
-    return _gauss_sum(x, alpha.atoms, alpha.weights, s, density=True)
-
-
 class InversionError(RuntimeError):
     """invert_increasing ran out of steps with some row still above its tolerance.
 
@@ -150,13 +143,13 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     array, so both must act componentwise. A row closes at its first iterate
     with |f(x) - target| <= max(tol, floor) and is returned at that verified
     iterate; floor = 4 * spacing(max |target|), what float64 resolves around
-    the largest target. A row whose Newton step is lost to rounding
-    (x - err / slope == x) closes at once at that verified iterate, and a
-    row still open after _FLOOR_STEPS steps also closes once
-    |f(x) - target| <= floor + |fprime(x)| * spacing(|x|), what one ulp of x
-    moves f by. These floors keep tol reachable where targets or slopes are
-    too large for any float64 x to meet it. If max_iter runs out with rows
-    still open, InversionError is raised.
+    the largest target. A row that cannot move, because its Newton step is
+    lost to rounding or its bracket is one ulp wide and the bisection rounds
+    back to x, closes at x if and only if |f(x) - target| <= floor +
+    |fprime(x)| * spacing(|x|), what one ulp of x moves f by. This keeps tol
+    reachable where targets or slopes are too large for any float64 x to
+    meet it. If max_iter runs out with rows still open, InversionError is
+    raised.
     """
     targets = np.asarray(targets, dtype=float)
     t = targets.ravel()
@@ -171,7 +164,7 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     out = np.empty_like(t)
     rows = np.arange(t.size)
     err = np.full(t.size, np.inf)
-    for step in range(max_iter):
+    for _ in range(max_iter):
         err = f(x) - t
         out[rows] = x  # each row's last evaluated iterate
         keep = ~(np.abs(err) <= close)
@@ -183,17 +176,16 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             slope = fprime(x)
             cand = x - err / slope
-            # a Newton step lost to rounding is below half an ulp of x
-            stuck = cand == x
-            if step >= _FLOOR_STEPS:
-                stuck |= np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x))
+            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+            nxt = np.where(bad, 0.5 * (lo + hi), cand)
+            stuck = (cand == x) | (nxt == x)
         if stuck.any():
-            keep = ~stuck
+            # a row that cannot move closes if one ulp of x explains its residual
+            keep = ~(stuck & (np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x))))
             if not keep.any():
                 return out.reshape(targets.shape)
-            rows, x, t, lo, hi, err, cand = (a[keep] for a in (rows, x, t, lo, hi, err, cand))
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), cand)
+            rows, t, lo, hi, err, nxt = (a[keep] for a in (rows, t, lo, hi, err, nxt))
+        x = nxt
     worst = float(np.max(np.abs(err)))
     raise InversionError(
         f"monotone inversion stalled after {max_iter} steps: {rows.size} of {targets.size} "
@@ -256,36 +248,19 @@ def smoothed_quantile(alpha: GridMeasure, s: float, u):
     return float(out[0]) if u.ndim == 0 else out
 
 
-def _moment_guess(alpha: GridMeasure, s: float, z: np.ndarray) -> np.ndarray:
-    """Quantiles at standard scores z of the Gaussian matching alpha * gamma_s's moments."""
-    var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
-    return alpha.mean + np.sqrt(s + var) * z
-
-
-def _invert_mixture(alpha: GridMeasure, s: float, f, targets: np.ndarray, z: np.ndarray,
-                    x0=None) -> np.ndarray:
-    """Solve f(x) = targets for f the mixture CDF or minus its survival function.
-
-    z is each level's standard score: a + sqrt(s) z at the end atoms brackets the root.
-    """
-    root = np.sqrt(s)
-    if x0 is None:
-        x0 = _moment_guess(alpha, s, z)
-    return invert_increasing(f, lambda x: _mixture_pdf(alpha, s, x), targets,
-                             alpha.atoms[0] + root * z, alpha.atoms[-1] + root * z,
-                             tol=_MIXTURE_TOL, x0=x0)
-
-
 def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.ndarray,
                       x0=None) -> np.ndarray:
     """Points where alpha * gamma_s has lower mass cum and upper mass tails (= 1 - cum).
 
-    Levels with cum <= 1/2 are solved on the CDF, the rest on the survival
-    function, and a warm start x0 is split the same way. Every returned row
-    is within 1e-13 of its level on that exact function. Before the exact
-    solve, one Chebyshev proxy of the mixture CDF is fitted for both halves
-    and its roots replace x0 (see _proxy_seed); it only seeds the solve, and
-    it is skipped when its fit would cost more than a quarter of the levels.
+    Levels with cum <= 1/2 are solved on the CDF, the rest on minus the
+    survival function, and a warm start x0 is split the same way. Every
+    returned row is within 1e-13 of its level on that exact function. A
+    level with standard score z is bracketed by a + sqrt(s) z at alpha's end
+    atoms, and without x0 it starts at the Gaussian with alpha * gamma_s's
+    mean and variance. Before the exact solve, one Chebyshev proxy of the
+    mixture CDF is fitted for both halves and its roots replace x0 (see
+    _proxy_seed); it only seeds the solve, and it is skipped when its fit
+    would cost more than a quarter of the levels.
     """
     out = np.empty(cum.shape)
     lower = cum <= 0.5
@@ -294,30 +269,22 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
     # survival tail t at atom a sits at a - sqrt(s)*ndtri(t)
     z[~lower] = -ndtri(tails[~lower])
     root = np.sqrt(s)
+    lo, hi = alpha.atoms[0] + root * z, alpha.atoms[-1] + root * z
     if x0 is None:
-        x0 = _moment_guess(alpha, s, z)
+        var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
+        x0 = alpha.mean + np.sqrt(s + var) * z
     # the proxy is of the CDF; 1 - tails costs the upper levels only an
     # absolute 1e-16, far inside the proxy solve's tolerance
     x0 = _proxy_seed(lambda x: smoothed_cdf(alpha, s, x), s,
-                     np.where(lower, cum, 1.0 - tails), alpha.atoms[0] + root * z,
-                     alpha.atoms[-1] + root * z, _MIXTURE_TOL, x0)
-    if lower.any():
-        out[lower] = _invert_mixture(alpha, s, lambda x: smoothed_cdf(alpha, s, x),
-                                     cum[lower], z[lower], x0[lower])
-    if (~lower).any():
-        out[~lower] = smoothed_isf(alpha, s, tails[~lower], x0=x0[~lower])
+                     np.where(lower, cum, 1.0 - tails), lo, hi, _MIXTURE_TOL, x0)
+    halves = ((lower, lambda x: smoothed_cdf(alpha, s, x), cum),
+              (~lower, lambda x: -smoothed_sf(alpha, s, x), -tails))
+    for part, f, targets in halves:
+        if part.any():
+            out[part] = invert_increasing(
+                f, lambda x: _gauss_sum(x, alpha.atoms, alpha.weights, s, density=True),
+                targets[part], lo[part], hi[part], tol=_MIXTURE_TOL, x0=x0[part])
     return out
-
-
-def smoothed_isf(alpha: GridMeasure, s: float, tail, x0=None):
-    """Point x with mixture survival mass equal to tail (tail in (0, 1))."""
-    tail = np.asarray(tail, dtype=float)
-    tt = np.atleast_1d(tail).astype(float)
-    if np.any((tt <= 0) | (tt >= 1)):
-        raise ValueError("tail mass must lie strictly inside (0, 1)")
-    # survival tail t at atom a sits at a - sqrt(s)*ndtri(t)
-    out = _invert_mixture(alpha, s, lambda x: -smoothed_sf(alpha, s, x), -tt, -ndtri(tt), x0)
-    return float(out[0]) if tail.ndim == 0 else out
 
 
 class MonotoneFn:
@@ -471,13 +438,6 @@ def _constant_beyond(fn: MonotoneFn) -> tuple[float, float] | None:
     return None
 
 
-def heat_convolve_span(fn: MonotoneFn, s: float) -> tuple[float, float]:
-    """fn's own span (its thresholds' or abscissae's range, else 0) padded by 9 sqrt(s)."""
-    lo, hi = _constant_beyond(fn) or (0.0, 0.0)
-    pad = 9.0 * np.sqrt(s)
-    return lo - pad, hi + pad
-
-
 def smoothed_values(fn: StepFn, s: float, x, deriv: bool = False) -> np.ndarray:
     """fn * gamma_s at the points x, or its slope with deriv (which needs s > 0).
 
@@ -522,7 +482,8 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     starts at the Gaussian-tail bound on the targets' range: fn * gamma_s
     is at most lower + (upper - lower) Phi((x - e0) / sqrt(s)) and at least
     upper - (upper - lower) Phi((e1 - x) / sqrt(s)). Otherwise it starts at
-    heat_convolve_span. Each end that does not yet enclose the targets moves
+    (e0 - 9 sqrt(s), e1 + 9 sqrt(s)), with e0 = e1 = 0 where fn has no known
+    constant ends. Each end that does not yet enclose the targets moves
     out by 1, 2, 4, ... until it does, and a step past 1e12 raises
     ValueError. Every returned row meets tol on the exact fn.heat_convolve.
     Before that solve, the roots of one Chebyshev proxy of fn * gamma_s over
@@ -532,13 +493,14 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     """
     y = np.asarray(y, dtype=float)
     y_min, y_max = np.min(y), np.max(y)
-    ends = _constant_beyond(fn)
+    ends, root = _constant_beyond(fn), np.sqrt(s)
     if ends is not None and fn.lower < y_min and y_max < fn.upper:
-        width, root = fn.upper - fn.lower, np.sqrt(s)
+        width = fn.upper - fn.lower
         lo = ends[0] + root * ndtri((y_min - fn.lower) / width)
         hi = ends[1] - root * ndtri((fn.upper - y_max) / width)
     else:
-        lo, hi = heat_convolve_span(fn, s)
+        e0, e1 = ends or (0.0, 0.0)
+        lo, hi = e0 - 9.0 * root, e1 + 9.0 * root
     step = 1.0
     while True:
         f_lo, f_hi = fn.heat_convolve(s, np.array([lo, hi]))

@@ -122,10 +122,8 @@ def _compact(atoms: np.ndarray, weights: np.ndarray, max_atoms: int) -> tuple[np
         return atoms, weights
     cum = np.cumsum(weights)
     group = np.minimum((cum / cum[-1] * max_atoms).astype(int), max_atoms - 1)
-    w_out = np.zeros(max_atoms)
-    aw_out = np.zeros(max_atoms)
-    np.add.at(w_out, group, weights)
-    np.add.at(aw_out, group, weights * atoms)
+    w_out = np.bincount(group, weights, minlength=max_atoms)
+    aw_out = np.bincount(group, weights * atoms, minlength=max_atoms)
     keep = w_out > 0
     return aw_out[keep] / w_out[keep], w_out[keep]
 

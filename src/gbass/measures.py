@@ -94,8 +94,7 @@ def make_grid_measure(atoms, weights) -> GridMeasure:
     # merge exact duplicates by summing weight
     keep = np.concatenate([[True], np.diff(a) > 0])
     idx = np.cumsum(keep) - 1
-    merged_w = np.zeros(int(idx[-1]) + 1)
-    np.add.at(merged_w, idx, w)
+    merged_w = np.bincount(idx, w)
     merged_a = a[keep]
 
     pos = merged_w > 0

@@ -10,7 +10,6 @@ from gbass.gaussian import (
     heat_convolve_inverse,
     invert_increasing,
     mixture_quantiles,
-    smoothed_isf,
     smoothed_sf,
 )
 from _oracles import central_difference, normal_cdf_series
@@ -105,7 +104,7 @@ class TestSmoothedQuantile:
     def test_deep_tail_through_survival(self):
         alpha = g.make_grid_measure([0.0, 1.0], [0.5, 0.5])
         tail = 1e-14
-        x = smoothed_isf(alpha, 1.0, tail)
+        x = mixture_quantiles(alpha, 1.0, np.array([1 - tail]), np.array([tail]))
         assert abs(smoothed_sf(alpha, 1.0, x) - tail) < 1e-12 * 1e-2 + 1e-15
 
     def test_rejects_boundary(self):
@@ -353,13 +352,23 @@ class TestInvertIncreasing:
         # one ulp of x near 1 moves f by 2.2e-8, so no float64 x meets tol;
         # the row closes within an ulp of the root instead of stalling. The
         # slope is off by a factor of two, so Newton steps overshoot by an
-        # ulp instead of rounding away and only the step-16 floor test,
-        # which reads that slope, closes the row
+        # ulp instead of rounding away; the bracket shrinks to one ulp, its
+        # midpoint rounds back to x, and the row closes there because one
+        # ulp of x explains its residual
         f = CountingFn(lambda x: 1e8 * (x - 1.0))
         x = invert_increasing(f, lambda x: np.full_like(x, 0.5e8), np.array([1e-8]),
                               0.5, 1.5, tol=1e-12, x0=np.array([1.2]))
         assert abs(x[0] - (1.0 + 1e-16)) <= np.spacing(1.0)
-        assert len(f.calls) <= 60
+        assert len(f.calls) <= 6
+        _, repeats = np.unique(np.concatenate(f.calls), return_counts=True)
+        assert repeats.max() <= 2
+
+    def test_collapsed_bracket_above_floor_raises(self):
+        # the bracket of a jump collapses to one ulp around x = 1, where the
+        # residual stays 0.5, far above what one ulp of x moves f by
+        with pytest.raises(InversionError, match="stalled"):
+            invert_increasing(lambda x: (x > 1.0).astype(float), np.ones_like,
+                              np.array([0.5]), 0.0, 2.0, tol=1e-12)
 
     def test_newton_step_lost_to_rounding_closes_at_once(self):
         # the row above with its exact slope: from x0 = 1.2 one Newton step

@@ -82,6 +82,14 @@ def test_paths_start_and_end_on_the_marginals(bench_201, ensembles, engine):
     assert np.all((ens.paths >= m / csol.fn.upper) & (ens.paths <= m / csol.fn.lower))
 
 
+def test_sde_terminal_law_no_worse_than_euler_in_price(bench_201, ensembles):
+    # 5.4e-3 is the terminal W1 to mu1 of the former Euler scheme in S on this
+    # pair at 20 000 paths x 10 steps, seed 7; the driving-coordinate scheme
+    # lands on mu1's atoms, so only Monte Carlo noise is left
+    stats = simulate.ensemble_stats(ensembles["sde"], (bench_201.mu0, bench_201.mu1))
+    assert stats.w1_terminal <= 5.4e-3
+
+
 def test_sde_without_components_holds_the_initial_draw():
     # mu0 == mu1: all mass is static, so every path stays at its initial atom
     mu = g.make_grid_measure([0.5, 1.5], [0.5, 0.5])
