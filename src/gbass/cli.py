@@ -27,7 +27,7 @@ from .measures import (
     reflect_measure,
     wasserstein1,
 )
-from .simulate import ensemble_stats, export_paths_csv, simulate_geometric_sde, \
+from .simulate import _write_csv, ensemble_stats, export_paths_csv, simulate_geometric_sde, \
     simulate_geometric_weighted
 
 
@@ -213,10 +213,8 @@ def _cmd_flow(config: dict, base_dir: Path, out: Path) -> int:
     for t in times:
         mu_t = marginal_flow(gsol, float(t))
         name = f"flow_t{float(t):g}.csv"
-        data = np.column_stack([mu_t.atoms, mu_t.weights])
         out.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out / name, data, delimiter=",", header="atom,weight",
-                   comments="", fmt="%.17g")
+        _write_csv(out / name, "atom,weight", mu_t.atoms[:, None], mu_t.weights[:, None])
         files.append(name)
         means[f"{float(t):g}"] = mu_t.mean
     _write_json(out / "report.json",

@@ -8,7 +8,6 @@ preserved exactly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .measures import GridMeasure, MeasureError, make_grid_measure
@@ -81,17 +80,16 @@ class Mixture:
         return sum(w * p.cdf(x) for w, p in zip(self.weights, self.parts))
 
     def quantile(self, u):
+        """All levels at once: bisection of the CDF between the parts' quantiles."""
         u = np.asarray(u, dtype=float)
         qs = np.array([p.quantile(np.atleast_1d(u)) for p in self.parts])
-        out = np.empty(np.atleast_1d(u).shape)
-        for i, ui in enumerate(np.atleast_1d(u)):
-            lo, hi = qs[:, i].min(), qs[:, i].max()
-            if hi <= lo:
-                out[i] = lo
-            else:
-                out[i] = brentq(lambda x: float(self.cdf(np.array([x]))[0]) - ui,
-                                lo, hi, xtol=1e-13, rtol=8.9e-16)
-        return float(out[0]) if u.ndim == 0 else out
+        lo, hi = qs.min(axis=0), qs.max(axis=0)
+        mid = 0.5 * (lo + hi)
+        while np.any(live := (hi - lo > 1e-13) & (lo < mid) & (mid < hi)):
+            below = self.cdf(mid) < u
+            lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
+            mid = 0.5 * (lo + hi)
+        return float(mid[0]) if u.ndim == 0 else mid
 
     def partial_mean(self, a, b):
         return sum(w * p.partial_mean(a, b) for w, p in zip(self.weights, self.parts))

@@ -148,8 +148,8 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     back to x, closes at x if and only if |f(x) - target| <= floor +
     |fprime(x)| * spacing(|x|), what one ulp of x moves f by. This keeps tol
     reachable where targets or slopes are too large for any float64 x to
-    meet it. If max_iter runs out with rows still open, InversionError is
-    raised.
+    meet it. InversionError is raised as soon as a row that fails this test
+    would be evaluated at x again, or when max_iter runs out with rows open.
     """
     targets = np.asarray(targets, dtype=float)
     t = targets.ravel()
@@ -163,8 +163,8 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     close = max(tol, floor)
     out = np.empty_like(t)
     rows = np.arange(t.size)
-    err = np.full(t.size, np.inf)
-    for _ in range(max_iter):
+    err, step = np.full(t.size, np.inf), 0
+    for step in range(1, max_iter + 1):
         err = f(x) - t
         out[rows] = x  # each row's last evaluated iterate
         keep = ~(np.abs(err) <= close)
@@ -184,11 +184,13 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
             keep = ~(stuck & (np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x))))
             if not keep.any():
                 return out.reshape(targets.shape)
-            rows, t, lo, hi, err, nxt = (a[keep] for a in (rows, t, lo, hi, err, nxt))
+            rows, x, t, lo, hi, err, nxt = (a[keep] for a in (rows, x, t, lo, hi, err, nxt))
+            if np.any(nxt == x):  # f is deterministic: that row would stay at x to max_iter
+                break
         x = nxt
     worst = float(np.max(np.abs(err)))
     raise InversionError(
-        f"monotone inversion stalled after {max_iter} steps: {rows.size} of {targets.size} "
+        f"monotone inversion stalled after {step} steps: {rows.size} of {targets.size} "
         f"rows open, worst residual {worst:.3e}", worst, out.reshape(targets.shape))
 
 

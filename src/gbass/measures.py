@@ -79,23 +79,22 @@ def make_grid_measure(atoms, weights) -> GridMeasure:
     if a.size != w.size:
         raise MeasureError(f"atoms ({a.size}) and weights ({w.size}) differ in length")
     for name, arr in (("atom", a), ("weight", w)):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise MeasureError(f"non-finite {name} at index {bad[0]}: {arr[bad[0]]}")
-    neg = np.flatnonzero(w < 0)
-    if neg.size:
-        raise MeasureError(f"negative weight at index {neg[0]}: {w[neg[0]]}")
+        bad = np.argmin(np.isfinite(arr))  # the first non-finite entry, if any
+        if not np.isfinite(arr[bad]):
+            raise MeasureError(f"non-finite {name} at index {bad}: {arr[bad]}")
+    neg = np.argmax(w < 0)
+    if w[neg] < 0:
+        raise MeasureError(f"negative weight at index {neg}: {w[neg]}")
     total = w.sum()
     if total <= 0:
         raise MeasureError("weights sum to zero")
 
-    order = np.argsort(a, kind="stable")
-    a, w = a[order], w[order]
-    # merge exact duplicates by summing weight
-    keep = np.concatenate([[True], np.diff(a) > 0])
-    idx = np.cumsum(keep) - 1
-    merged_w = np.bincount(idx, w)
-    merged_a = a[keep]
+    merged_a, merged_w = a, w  # strictly increasing atoms, as restricted measures have
+    if np.any(np.diff(a) <= 0):  # sort, and merge exact duplicates by summing weight
+        order = np.argsort(a, kind="stable")
+        a, w = a[order], w[order]
+        keep = np.concatenate([[True], np.diff(a) > 0])
+        merged_a, merged_w = a[keep], np.bincount(np.cumsum(keep) - 1, w)
 
     pos = merged_w > 0
     merged_a, merged_w = merged_a[pos], merged_w[pos]

@@ -7,7 +7,8 @@ samples the price measure itself, where by Girsanov W gains the drift
 d/dx log F_t, and S_t = m / F_t(W_t) needs no clamping. Both read F_t through
 ``smoothed_values``, certified to 1e-13. Every path owns a counter-based random
 stream keyed by (seed, path index), so ensembles are reproducible independently
-of chunking.
+of chunking. Path and flow CSVs hold each value as '%.17g' formats it, byte for
+byte, computed for whole blocks of values at once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,78 @@ from .measures import make_grid_measure, quantile, wasserstein1
 
 _CHUNK = 16384
 _MIN_U = 2.0 ** -53
+_CSV_CELLS = 8192  # values formatted per block; its temporaries stay within about 1 MB
+_TENS = np.array([float(f"1e{j}") for j in range(-5, 23)])  # least double >= 10**j; exact j>=0
+_QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(
+    np.uint8).view(np.uint32).ravel().astype(np.uint64)  # the 4 digit bytes of 0..9999
+_ZERO_TEXT = np.frombuffer(b"0" * 17 + bytes(7), np.uint64)[:, None]
+_KEEP = np.arange(24) <= np.arange(24)[:, None]
+
+
+def _layouts():
+    """Per sign and k = 16 - e >= 0: a text's fixed bytes, the mask of its integer digits, the
+    shifts of those and of its other digits, and its width by significant digits, or 0."""
+    head, low = np.zeros((2, 2, 23, 24), np.uint8)
+    shift, width = np.zeros((2, 2, 23), np.uint64), np.zeros((2, 23, 18), np.int64)
+    for neg, k in np.ndindex(2, 21):  # e >= -4: fixed notation
+        e, nd = 16 - k, np.arange(18)
+        text = b"-" * neg + (b"0." + b"0" * (-e - 1) if e < 0 else bytes(e + 1) + b".")
+        head[neg, k, :len(text)], low[neg, k, :max(e + 1, 0)] = list(text), 255
+        shift[:, neg, k] = 8 * neg, 8 * (len(text) - max(e + 1, 0))
+        width[neg, k] = len(text) + nd if e < 0 else neg + np.where(nd > e + 1, nd + 1, e + 1)
+    words = (t.view(np.uint64).reshape(46, 3).T.copy() for t in (head, low))
+    return *words, *shift.reshape(2, 46), width.reshape(46, 18)
+
+
+_HEAD, _LOW, _LOW_SHIFT, _SHIFT, _WIDTH = _layouts()
+
+
+def _shl(words, bits):  # 24-byte texts as three little-endian uint64 words, moved up by bits
+    return words << bits | np.vstack([np.zeros_like(words[:1]), words[:2]]) >> (64 - bits)
+
+
+def _format_block(v: np.ndarray, seps: np.ndarray) -> bytes:
+    """'%.17g' % x for each x in v, each followed by its separator in seps: for 10**e <= |x|
+    < 10**(e+1), -4 <= e <= 16, the integer nearest |x| * 10**(16 - e), ties to even, in
+    fixed notation without trailing zeros."""
+    a = np.abs(v)
+    a = np.where((a >= 5e-5) & (a < 1e17), a, 5e-5)  # the others get e = -5 and width 0
+    e = np.floor(np.log10(a)).astype(np.int64)  # off by at most one, corrected exactly
+    e += (a >= _TENS[e + 6]).view(np.int8) - (a < _TENS[e + 5]).view(np.int8)
+    x = np.stack([a, _TENS[21 - e]])  # 10**(16 - e), exact
+    c = x * 134217729.0  # Veltkamp: x = hi + lo, halves of at most 26 bits
+    (ah, sh), (al, sl) = c - (c - x), x - (c - (c - x))
+    p = a * x[1]
+    err = ((ah * sh - p) + ah * sl + al * sh) + al * sl  # p + err = a * x[1] (Dekker)
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)  # p is even: ties stay even
+    d, key = np.where(up := d == 10 ** 17, 10 ** 16, d), 16 - e - up + 23 * np.signbit(v)
+    q, last = np.divmod(d, 10)
+    quads = np.take(_QUADS, np.divmod(np.divmod(q, 10 ** 8), 10 ** 4))  # 4-digit groups
+    digits = np.vstack([quads[0] | quads[1] << 32, (last + ord("0")).view(np.uint64)])
+    nz = (digits ^ _ZERO_TEXT).astype(float)  # digit values by byte; float keeps the top place
+    nd = np.where(nz > 0, np.arange(0, 24, 8)[:, None] + (np.frexp(nz)[1] + 7) // 8, 0).max(0)
+    width = _WIDTH[key, nd]
+    low = digits & np.take(_LOW, key, axis=1)
+    words = _shl(low, _LOW_SHIFT[key]) | _shl(digits ^ low, _SHIFT[key])
+    text = np.ascontiguousarray((words | np.take(_HEAD, key, axis=1)).T).view(np.uint8).ravel()
+    text[np.arange(0, text.size, 24) + width] = seps[:v.size]
+    out = text[np.take(_KEEP, width, axis=0).reshape(-1)].tobytes()
+    slow = np.flatnonzero(width == 0)  # '%.17g' % x goes in before these separators
+    cuts = [0, *(np.cumsum(width + 1)[slow] - 1).tolist(), len(out)]
+    texts = [("%.17g" % x).encode() for x in v[slow].tolist()] + [b""]
+    return b"".join(out[i:j] + t for i, j, t in zip(cuts, cuts[1:], texts))
+
+
+def _write_csv(path, header: str, *columns: np.ndarray) -> None:
+    """Write the header line, then the rows of the 2-D float64 columns side by side, each
+    value as '%.17g' % x formats it, separated by ',', a block of _CSV_CELLS values at a time."""
+    n_cols = sum(c.shape[1] for c in columns)
+    rows = max(1, _CSV_CELLS // n_cols)
+    seps = np.tile(np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8), rows)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("latin1") + b"\n")
+        for i in range(0, columns[0].shape[0], rows):
+            fh.write(_format_block(np.hstack([c[i:i + rows] for c in columns]).ravel(), seps))
 
 
 @dataclass(frozen=True)
@@ -248,7 +321,7 @@ def ensemble_stats(ens: PathEnsemble, reference_marginals=None) -> SimulationSta
 
 
 def export_paths_csv(ens: PathEnsemble, path) -> None:
-    """One row per path: state at each grid time, then the path weight."""
+    """One row per path: state at each grid time, then the path weight, each value
+    byte for byte as '%.17g' % x formats it."""
     header = ",".join(f"t={t:.10g}" for t in ens.time_grid) + ",weight"
-    data = np.hstack([ens.paths, ens.weights[:, None]])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    _write_csv(path, header, ens.paths, ens.weights[:, None])

@@ -365,10 +365,14 @@ class TestInvertIncreasing:
 
     def test_collapsed_bracket_above_floor_raises(self):
         # the bracket of a jump collapses to one ulp around x = 1, where the
-        # residual stays 0.5, far above what one ulp of x moves f by
+        # residual stays 0.5, far above what one ulp of x moves f by; the row
+        # raises once its next iterate is its last, not after max_iter steps
+        f = CountingFn(lambda x: (x > 1.0).astype(float))
         with pytest.raises(InversionError, match="stalled"):
-            invert_increasing(lambda x: (x > 1.0).astype(float), np.ones_like,
-                              np.array([0.5]), 0.0, 2.0, tol=1e-12)
+            invert_increasing(f, np.ones_like, np.array([0.5]), 0.0, 2.0, tol=1e-12)
+        assert len(f.calls) <= 60
+        _, repeats = np.unique(np.concatenate(f.calls), return_counts=True)
+        assert repeats.max() <= 2
 
     def test_newton_step_lost_to_rounding_closes_at_once(self):
         # the row above with its exact slope: from x0 = 1.2 one Newton step

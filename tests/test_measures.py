@@ -56,6 +56,15 @@ class TestConstruction:
         assert mu.atoms.tolist() == [1.0]
         assert mu.weights.tolist() == [1.0]
 
+    def test_presorted_and_shuffled_atoms_agree(self):
+        rng = np.random.default_rng(3)
+        atoms, weights = np.sort(rng.random(50)), rng.random(50)
+        perm = rng.permutation(50)
+        sorted_mu = g.make_grid_measure(atoms, weights)
+        shuffled_mu = g.make_grid_measure(atoms[perm], weights[perm])
+        assert np.array_equal(sorted_mu.atoms, shuffled_mu.atoms)
+        assert np.array_equal(sorted_mu.weights, shuffled_mu.weights)
+
     def test_renormalization(self):
         mu = g.make_grid_measure([0.0, 1.0], [2.0, 6.0])
         assert np.allclose(mu.weights, [0.25, 0.75])

@@ -1,5 +1,7 @@
 """Path engines on the benchmark's 201-atom lognormal pair, whose Bass martingale is GBM."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,14 @@ def test_reused_stream_matches_a_fresh_one_per_path(monkeypatch):
     rows = np.concatenate([block for _, _, block in simulate._uniform_blocks(SEED, 30, 12)])
     fresh = np.array([simulate._path_uniforms(SEED, i, 12) for i in range(30)])
     assert np.array_equal(rows, fresh)
+
+
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_export_matches_savetxt_bytes(ensembles, tmp_path, engine):
+    ens = ensembles[engine]
+    path = tmp_path / "paths.csv"
+    simulate.export_paths_csv(ens, path)
+    buf = io.BytesIO()
+    np.savetxt(buf, np.hstack([ens.paths, ens.weights[:, None]]), delimiter=",", comments="",
+               header=",".join(f"t={t:.10g}" for t in ens.time_grid) + ",weight", fmt="%.17g")
+    assert path.read_bytes() == buf.getvalue()
