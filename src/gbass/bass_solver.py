@@ -106,10 +106,16 @@ def monotone_rearrangement(nu1: GridMeasure, alpha: GridMeasure,
         return StepFn([], nu1.atoms)
     thr = mixture_quantiles(alpha, 1.0, nu1.cum_weights[:-1], nu1.tail_weights[:-1],
                             x0=warm_thresholds)
-    # repair rounding-level ties so the step representation stays strict
-    for i in np.flatnonzero(np.diff(thr) <= 0):
-        thr[i + 1] = np.nextafter(thr[i], np.inf)
-    return StepFn(thr, nu1.atoms)
+    # repair rounding-level ties so the step representation stays strict: on
+    # integer keys that count ulps in float order (with -0.0 = 0.0), lift each
+    # threshold to at least one ulp above its repaired predecessor, so a run
+    # of ties cascades
+    sign = np.int64(-2 ** 63)
+    bits = thr.view(np.int64)
+    key = np.where(bits < 0, -(bits & ~sign), bits)
+    rank = np.arange(key.size)
+    key = np.maximum.accumulate(key - rank) + rank
+    return StepFn(np.where(key < 0, -key | sign, key).view(np.float64), nu1.atoms)
 
 
 def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-13,

@@ -3,21 +3,23 @@
 Provides the Gaussian distribution primitives, CDF/quantile of a Gaussian
 mixture over an atomic measure, and the heat-kernel convolution F * gamma_s
 (with spatial derivative) for monotone functions, exact for step functions
-and Gauss-Hermite elsewhere. ``_gauss_sum`` is the one dense sweep
-sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, and ``invert_increasing``
-the one bracketed monotone inversion. The two smoothed maps of the Bass fixed
-point each have one inversion built on it: ``mixture_quantiles`` inverts
-alpha * gamma_s (CDF below one half, survival function above), and
-``heat_convolve_inverse`` inverts fn * gamma_s. ``smoothed_values`` evaluates
-fn * gamma_s or its slope at many points, by a Chebyshev interpolant
-certified to 1e-13 of the range or by the exact sweep.
+and Gauss-Hermite elsewhere. ``_gauss_sum`` is the one Gaussian sum
+sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, interpolated in x where
+that pays, and ``invert_increasing`` the one bracketed monotone inversion.
+The two smoothed maps of the Bass fixed point each have one inversion built
+on it: ``mixture_quantiles`` inverts alpha * gamma_s (CDF below one half,
+survival function above), and ``heat_convolve_inverse`` inverts fn * gamma_s.
+``smoothed_values`` evaluates fn * gamma_s or its slope at many points, by a
+Chebyshev interpolant certified to 1e-13 of the range or by the Gaussian
+sum. Both interpolants are certified by ``_certified_chebyshev``.
 
 Both inverses first fit one Chebyshev proxy of the smoothed map per call and
 solve on it (``_proxy_seed``). The proxy's roots only replace the warm start
-x0: every returned row is still verified on the exact sweep by
-``invert_increasing``. The proxy is skipped when its fit would cost more than
-a quarter of the targets, as for a single target, and a failed fit or proxy
-solve leaves x0 as given.
+x0: every returned row is still verified by ``invert_increasing`` on the
+Gaussian sum, which is certified to 2^-48 * sum |w| of the dense formula,
+and on the dense formula itself for tail rows. The proxy is skipped when its
+fit would cost more than a quarter of the targets, as for a single target,
+and a failed fit or proxy solve leaves x0 as given.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .measures import GridMeasure
 
 DEFAULT_GH_NODES = 64
 _CHUNK = 4096
-# residual to which mixture quantiles are solved, on the exact CDF or SF
+# residual to which mixture quantiles are solved, on the CDF or SF
 _MIXTURE_TOL = 1e-13
 # Chebyshev degree per unit of half-width / sqrt(s). Phi((x - c) / sqrt(s)) is
 # entire, so its interpolants on an interval of half-width L converge
@@ -44,6 +46,15 @@ _DEGREE_PER_WIDTH = 9.0
 # a proxy's fit costs degree + 1 exact rows and saves about two per target;
 # it is fitted only while that cost stays within this share of the targets
 _FIT_SHARE = 0.25
+# starting degree per unit of half-width / sqrt(s) of a whole Gaussian sum's
+# fit, certified to 2^-48 of sum |w|: on the 34 solve sweeps of the 1001-atom
+# benchmark pair, 9 certified 1 at the first degree and 12 certified 23;
+# 14 and 16 certified all 34
+_SUM_DEGREE_PER_WIDTH = 16.0
+# a Gaussian sum with fewer rows, or at most this many centres, is swept densely
+_DENSE_SIZE = 64
+# standard score beyond which the Gaussian tail is below 2^-60
+_TAIL_Z = float(ndtri(2.0 ** -60))
 
 
 def gauss_pdf(x, s: float = 1.0):
@@ -80,26 +91,70 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _gauss_sweep(x: np.ndarray, centers: np.ndarray, weights: np.ndarray, s: float,
+                 density: bool) -> np.ndarray:
+    """The dense sweep of _gauss_sum on a 1-D x, every kernel term evaluated.
+
+    Rows go in chunks and each kernel block stays unnamed, so one block at a
+    time is alive.
+    """
+    out = np.empty_like(x)
+    root = np.sqrt(s)
+    for i in range(0, x.size, _CHUNK):
+        z = (x[i:i + _CHUNK, None] - centers[None, :]) / root
+        out[i:i + _CHUNK] = (np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * s) if density
+                             else ndtr(z)) @ weights
+    return out
+
+
 def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
                density: bool = False) -> np.ndarray:
     """sum_j weights[j] * Phi((x - centers[j]) / sqrt(s)), or the density sum.
 
-    The result is shaped like np.atleast_1d(x). Rows go in chunks and each
-    kernel block stays unnamed, so one block at a time is alive.
+    Shaped like np.atleast_1d(x). The sum is entire in x: on the finite range
+    of x, cut where every term is within 2^-60 of its bound, a Chebyshev fit
+    is certified to 2^-48 * sum |w| (over sqrt(2 pi s) for the density) of
+    the dense sweep, about that sweep's own rounding, while (2 degree + 1) n_c
+    + degree n_x stays within _FIT_SHARE n_x n_c and 2 degree < n_x. Rows
+    outside the cut, non-finite rows, rows fitted at most 2^-20 of that scale
+    (so tails keep their relative accuracy), calls with fewer than 64 rows or
+    at most 64 centres, and calls whose fit fails get the dense sweep.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.ravel()
-    out = np.empty_like(xs)
+    n_x, n_c = xs.size, centers.size
+    if n_x < _DENSE_SIZE or n_c <= _DENSE_SIZE:
+        return _gauss_sweep(xs, centers, weights, s, density).reshape(x.shape)
     root = np.sqrt(s)
-    for i in range(0, xs.size, _CHUNK):
-        z = (xs[i:i + _CHUNK, None] - centers[None, :]) / root
-        out[i:i + _CHUNK] = (np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * s) if density
-                             else ndtr(z)) @ weights
+    finite = np.isfinite(xs)
+    a = max(xs.min(where=finite, initial=np.inf), centers.min() + root * _TAIL_Z)
+    b = min(xs.max(where=finite, initial=-np.inf), centers.max() - root * _TAIL_Z)
+    scale = np.abs(weights).sum() / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
+
+    def sweep(points):
+        return _gauss_sweep(points, centers, weights, s, density)
+
+    coef = None if not a < b else _certified_chebyshev(
+        sweep, a, b, int(np.ceil(_SUM_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
+        lambda *_: 2.0 ** -48 * scale,
+        lambda degree: (2 * degree < n_x and (2 * degree + 1) * n_c + degree * n_x
+                        <= _FIT_SHARE * n_x * n_c))
+    if coef is None:
+        return sweep(xs).reshape(x.shape)
+    inside = finite & (xs >= a) & (xs <= b)
+    out = np.empty_like(xs)
+    out[inside] = chebval((xs[inside] - 0.5 * (a + b)) / (0.5 * (b - a)), coef)
+    dense = ~inside
+    dense[inside] = np.abs(out[inside]) <= 2.0 ** -20 * scale
+    out[dense] = sweep(xs[dense])
     return out.reshape(x.shape)
 
 
 def smoothed_cdf(alpha: GridMeasure, s: float, x):
-    """CDF at x of alpha convolved with a centred Gaussian of variance s."""
+    """CDF at x of alpha convolved with a centred Gaussian of variance s.
+
+    By _gauss_sum: within 2^-48 of the dense formula, and on it where <= 2^-20.
+    """
     if s <= 0:
         raise ValueError(f"variance must be positive, got {s}")
     x = np.asarray(x, dtype=float)
@@ -108,7 +163,10 @@ def smoothed_cdf(alpha: GridMeasure, s: float, x):
 
 
 def smoothed_sf(alpha: GridMeasure, s: float, x):
-    """Survival function of the same mixture, accurate deep in the upper tail."""
+    """Survival function of the same mixture, accurate deep in the upper tail.
+
+    The CDF of the reflected mixture, with smoothed_cdf's accuracy.
+    """
     if s <= 0:
         raise ValueError(f"variance must be positive, got {s}")
     x = np.asarray(x, dtype=float)
@@ -140,9 +198,11 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     x0 (clipped into the bracket) makes repeated nearby solves near-free.
 
     Each step calls f and then fprime on the rows still open only, as a 1-D
-    array, so both must act componentwise. A row closes at its first iterate
-    with |f(x) - target| <= max(tol, floor) and is returned at that verified
-    iterate; floor = 4 * spacing(max |target|), what float64 resolves around
+    array, so both must act componentwise. Rows are verified on f as given:
+    for the Gaussian smoothings that is _gauss_sum, certified to 2^-48 of its
+    weights' total of the dense formula and dense on tail rows. A row closes
+    at its first iterate with |f(x) - target| <= max(tol, floor) and is
+    returned at that verified iterate; floor = 4 * spacing(max |target|), what float64 resolves around
     the largest target. A row that cannot move, because its Newton step is
     lost to rounding or its bracket is one ulp wide and the bisection rounds
     back to x, closes at x if and only if |f(x) - target| <= floor +
@@ -202,6 +262,31 @@ def _chebyshev_fit(f, a: float, b: float, degree: int) -> np.ndarray:
     return coef
 
 
+def _certified_chebyshev(evaluate, a: float, b: float, degree: int, bound, affordable):
+    """Chebyshev coefficients on [a, b] of evaluate's interpolant, certified, or None.
+
+    The interpolant at degree + 1 second-kind points is checked at the degree
+    first-kind points between them, where it must be within
+    bound(values, check) of evaluate, given the values at both point sets. A
+    failed check doubles the degree, reusing both point sets, which together
+    are the second-kind points of twice the degree. None comes back once
+    affordable(degree) fails before a fit certifies.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = None
+    while affordable(degree):
+        if values is None:
+            values = evaluate(mid + half * np.cos(np.pi * np.arange(degree + 1) / degree))
+        between = np.cos(np.pi * np.arange(1, 2 * degree, 2) / (2 * degree))
+        check = evaluate(mid + half * between)
+        # the values at the fit's second-kind points are already in hand
+        coef = _chebyshev_fit(lambda _: values, a, b, degree)
+        if np.max(np.abs(chebval(between, coef) - check)) <= bound(values, check):
+            return coef
+        values, degree = np.insert(values, np.arange(1, degree + 1), check), 2 * degree
+    return None
+
+
 def _proxy_seed(f, s: float, targets: np.ndarray, lo, hi, tol: float, x0):
     """Roots of a Chebyshev proxy of f, as warm starts for the exact inversion.
 
@@ -256,10 +341,12 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
 
     Levels with cum <= 1/2 are solved on the CDF, the rest on minus the
     survival function, and a warm start x0 is split the same way. Every
-    returned row is within 1e-13 of its level on that exact function. A
+    returned row is within 1e-13 of its level on that function, summed by
+    _gauss_sum: certified to 2^-48 of the dense formula, and on the dense
+    formula itself for rows whose CDF or SF is at most 2^-20. A
     level with standard score z is bracketed by a + sqrt(s) z at alpha's end
     atoms, and without x0 it starts at the Gaussian with alpha * gamma_s's
-    mean and variance. Before the exact solve, one Chebyshev proxy of the
+    mean and variance. Before that solve, one Chebyshev proxy of the
     mixture CDF is fitted for both halves and its roots replace x0 (see
     _proxy_seed); it only seeds the solve, and it is skipped when its fit
     would cost more than a quarter of the levels.
@@ -445,36 +532,30 @@ def smoothed_values(fn: StepFn, s: float, x, deriv: bool = False) -> np.ndarray:
 
     Interpolates on [x.min, x.max], cut where the Gaussian tail bound puts
     fn * gamma_s within 2^-60 of its range from its bounds (points beyond get
-    the end value). A fit at degree + 1 second-kind points is certified at the
-    degree first-kind points between them, values to 1e-13 of (upper - lower)
-    and slopes to 1e-13 of the largest sampled slope; a failed fit doubles its
-    degree, reusing both point sets. The exact sweep is returned for s == 0,
-    at most 64 thresholds, an empty cut, or once fit plus certification would
-    cost more than _FIT_SHARE of the points.
+    the end value). _certified_chebyshev certifies values to 1e-13 of
+    (upper - lower) and slopes to 1e-13 of the largest sampled slope. The
+    Gaussian sum at every point is returned for s == 0, at most 64
+    thresholds, an empty cut, or once fit plus certification would cost more
+    than _FIT_SHARE of the points.
     """
     x = np.asarray(x, dtype=float)
     evaluate = fn.heat_convolve_deriv if deriv else fn.heat_convolve
-    if s == 0.0 or fn.thresholds.size <= 64 or x.size == 0:
+    if s == 0.0 or fn.thresholds.size <= _DENSE_SIZE or x.size == 0:
         return evaluate(s, x)
     root = np.sqrt(s)
-    a = max(float(x.min()), fn.thresholds[0] + root * ndtri(2.0 ** -60))
-    b = min(float(x.max()), fn.thresholds[-1] - root * ndtri(2.0 ** -60))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    degree = int(np.ceil(_DEGREE_PER_WIDTH * half / root))
-    values = None
-    while half > 0 and 2 * degree + 1 <= _FIT_SHARE * x.size:
-        if values is None:
-            values = evaluate(s, mid + half * np.cos(np.pi * np.arange(degree + 1) / degree))
-        between = np.cos(np.pi * np.arange(1, 2 * degree, 2) / (2 * degree))
-        check = evaluate(s, mid + half * between)
-        # the sweep at the fit's second-kind points is already in values
-        coef = _chebyshev_fit(lambda _: values, a, b, degree)
-        scale = max(np.max(values), np.max(check)) if deriv else fn.upper - fn.lower
-        if np.max(np.abs(chebval(between, coef) - check)) <= 1e-13 * scale:
-            return chebval((np.clip(x, a, b) - mid) / half, coef)
-        # both point sets together are the second-kind points of twice the degree
-        values, degree = np.insert(values, np.arange(1, degree + 1), check), 2 * degree
-    return evaluate(s, x)
+    a = max(float(x.min()), fn.thresholds[0] + root * _TAIL_Z)
+    b = min(float(x.max()), fn.thresholds[-1] - root * _TAIL_Z)
+    if not a < b:
+        return evaluate(s, x)
+    coef = _certified_chebyshev(
+        lambda points: evaluate(s, points), a, b,
+        int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
+        lambda values, check: 1e-13 * (max(np.max(values), np.max(check)) if deriv
+                                       else fn.upper - fn.lower),
+        lambda degree: 2 * degree + 1 <= _FIT_SHARE * x.size)
+    if coef is None:
+        return evaluate(s, x)
+    return chebval((np.clip(x, a, b) - 0.5 * (a + b)) / (0.5 * (b - a)), coef)
 
 
 def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> np.ndarray:
@@ -487,7 +568,9 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     (e0 - 9 sqrt(s), e1 + 9 sqrt(s)), with e0 = e1 = 0 where fn has no known
     constant ends. Each end that does not yet enclose the targets moves
     out by 1, 2, 4, ... until it does, and a step past 1e12 raises
-    ValueError. Every returned row meets tol on the exact fn.heat_convolve.
+    ValueError. Every returned row meets tol on fn.heat_convolve; for a StepFn
+    that is _gauss_sum, certified to 2^-48 * sum of jumps of the dense formula
+    and on the dense formula itself where the sum is at most 2^-20 of it.
     Before that solve, the roots of one Chebyshev proxy of fn * gamma_s over
     the bracket replace x0 (see _proxy_seed); the proxy only seeds the
     solve, and it is skipped when its fit would cost more than a quarter of

@@ -162,3 +162,20 @@ def sequential_decomposition(grid, gap, atoms0, weights0, atoms1, weights1, tol=
         if right >= 0 and excess - max(take, 0.0) > 0:
             give(right, x, excess - max(take, 0.0))
     return intervals, parts, static, max(map(abs, deficit), default=0.0)
+
+
+def gauss_sum_fsum(x: float, centers, weights, s: float, density: bool = False) -> float:
+    """sum_j w_j Phi((x - c_j) / sqrt(s)), or the density sum, term by term.
+
+    Each term comes from math.erfc or math.exp and the terms are added by
+    math.fsum, so the only rounding is in each term; x may be infinite.
+    """
+    root = math.sqrt(s)
+    terms = []
+    for c, w in zip(np.asarray(centers, dtype=float).tolist(),
+                    np.asarray(weights, dtype=float).tolist()):
+        z = (x - c) / root
+        kernel = (math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi * s) if density
+                  else 0.5 * math.erfc(-z / math.sqrt(2.0)))
+        terms.append(w * kernel)
+    return math.fsum(terms)

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 import gbass as g
+from gbass import bass_solver
 from gbass.bass_solver import ConvergenceError, _terminal_level_masses
 from gbass.measures import MeasureError
 from conftest import lognormal_measure
@@ -38,6 +39,32 @@ class TestMonotoneRearrangement:
         fn = g.monotone_rearrangement(nu1, alpha)
         masses = _terminal_level_masses(fn, alpha)
         assert np.max(np.abs(masses - nu1.weights)) < 1e-12
+
+    @pytest.mark.parametrize("a", [0.3, -0.3, -5e-324, 0.0])
+    def test_tie_repair_cascades(self, a, monkeypatch):
+        # a tie followed by the next float: lifting the tie one ulp makes a
+        # new tie with the threshold after it, which must be lifted in turn
+        b = np.nextafter(a, np.inf)
+        solved = np.array([-0.9, a, a, b, 0.9])
+        monkeypatch.setattr(bass_solver, "mixture_quantiles", lambda *args, **kw: solved.copy())
+        nu1 = g.make_grid_measure(np.arange(6.0), np.full(6, 1.0 / 6.0))
+        fn = g.monotone_rearrangement(nu1, g.make_grid_measure([0.0], [1.0]))
+        assert fn.thresholds.tolist() == [-0.9, a, b, np.nextafter(b, np.inf), 0.9]
+
+    def test_deep_tail_pair_solves(self):
+        # target masses down to 8.6e-17: deep-tail thresholds land within an
+        # ulp or two of each other, and lifting one tie can make the next
+        mu0, mu1 = lognormal_measure(-0.02, 0.2, 201), lognormal_measure(-0.08, 0.4, 201)
+        csol = g.solve_geometric(mu0, mu1).arithmetic.component_solutions[0]
+        assert np.all(np.diff(csol.fn.thresholds) > 0)
+        assert max(csol.residual_source, csol.residual_target) <= 1e-10
+
+    def test_tie_repair_keeps_increasing_thresholds(self, monkeypatch):
+        solved = np.array([-1e300, -2.5, -0.0, 5e-324, 1e-300, 7.0])
+        monkeypatch.setattr(bass_solver, "mixture_quantiles", lambda *args, **kw: solved.copy())
+        nu1 = g.make_grid_measure(np.arange(7.0), np.full(7, 1.0 / 7.0))
+        fn = g.monotone_rearrangement(nu1, g.make_grid_measure([0.0], [1.0]))
+        assert np.array_equal(fn.thresholds, solved)
 
 
 class TestUpdateAlpha:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 import gbass as g
 from gbass import gaussian
@@ -12,7 +13,8 @@ from gbass.gaussian import (
     mixture_quantiles,
     smoothed_sf,
 )
-from _oracles import central_difference, normal_cdf_series
+
+from _oracles import central_difference, gauss_sum_fsum, normal_cdf_series
 
 
 class TestGaussPrimitives:
@@ -474,8 +476,17 @@ class TestResidualContract:
 
 
 def rows_counter(monkeypatch):
-    """Count rows of the exact mixture CDF/SF and StepFn smoothing, and proxy fit nodes."""
-    rows = {"exact": 0, "fit": 0, "fits": 0}
+    """Count rows and fits, keeping the Gaussian sums' own fits apart.
+
+    exact: rows asked of the mixture CDF/SF and of StepFn smoothing, on
+    whichever path the sum takes. fit, fits: nodes and number of
+    _chebyshev_fit calls made outside a Gaussian sum (the proxy's and
+    smoothed_values'). sum_fits, sum_rows: fits a Gaussian sum makes of
+    itself and the dense rows they take. dense: every other row of the dense
+    kernel, the density's included.
+    """
+    rows = {"exact": 0, "fit": 0, "fits": 0, "sum_fits": 0, "sum_rows": 0, "dense": 0}
+    stack = []
 
     def counted(f):
         def wrapper(first, s, x, *args):
@@ -483,17 +494,37 @@ def rows_counter(monkeypatch):
             return f(first, s, x, *args)
         return wrapper
 
-    fit = gaussian._chebyshev_fit
+    def entered(f, name):
+        def wrapper(*args, **kwargs):
+            stack.append(name)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    fit, sweep = gaussian._chebyshev_fit, gaussian._gauss_sweep
 
     def counted_fit(f, a, b, degree):
-        rows["fit"] += degree + 1
-        rows["fits"] += 1
+        if "sum" in stack:
+            rows["sum_fits"] += 1
+        else:
+            rows["fit"] += degree + 1
+            rows["fits"] += 1
         return fit(f, a, b, degree)
+
+    def counted_sweep(x, *args):
+        rows["sum_rows" if stack[-2:] == ["sum", "certify"] else "dense"] += x.size
+        return sweep(x, *args)
 
     monkeypatch.setattr(gaussian, "smoothed_cdf", counted(gaussian.smoothed_cdf))
     monkeypatch.setattr(gaussian, "smoothed_sf", counted(gaussian.smoothed_sf))
     monkeypatch.setattr(g.StepFn, "heat_convolve", counted(g.StepFn.heat_convolve))
+    monkeypatch.setattr(gaussian, "_gauss_sum", entered(gaussian._gauss_sum, "sum"))
+    monkeypatch.setattr(gaussian, "_certified_chebyshev",
+                        entered(gaussian._certified_chebyshev, "certify"))
     monkeypatch.setattr(gaussian, "_chebyshev_fit", counted_fit)
+    monkeypatch.setattr(gaussian, "_gauss_sweep", counted_sweep)
     return rows
 
 
@@ -514,12 +545,20 @@ class TestChebyshevProxy:
         alpha = g.make_grid_measure(mean + 1.001 * (csol.alpha.atoms - mean), csol.alpha.weights)
         rows = rows_counter(monkeypatch)
         fn = g.monotone_rearrangement(csol.target, alpha, warm_thresholds=csol.fn.thresholds)
-        assert rows["fits"] == 1
-        assert rows["exact"] - rows["fit"] <= 1.2 * fn.thresholds.size
-        rows.update(exact=0, fit=0, fits=0)
+        solves = [(rows.copy(), fn.thresholds.size)]
+        rows.update(dict.fromkeys(rows, 0))
         g.update_alpha(csol.source, fn, warm_atoms=alpha.atoms)
-        assert rows["fits"] == 1
-        assert rows["exact"] - rows["fit"] <= 1.2 * csol.source.n
+        solves.append((rows.copy(), csol.source.n))
+        for counts, targets in solves:
+            # one proxy fit per inversion, and few rows beyond its seeds
+            assert counts["fits"] == 1
+            assert counts["exact"] - counts["fit"] <= 1.2 * targets
+            assert counts["dense"] - counts["fit"] <= 1.2 * targets
+        # the verify sweep over every target fits itself at 1001 atoms: the
+        # CDF and SF halves of the rearrangement, and the smoothed map once;
+        # at 201 the cost rule keeps every sum dense
+        fitted = [counts["sum_fits"] for counts, _ in solves]
+        assert fitted == ([2, 1] if csol.source.n == 1001 else [0, 0])
 
     def test_single_target_builds_no_proxy(self, bench, monkeypatch):
         rows = rows_counter(monkeypatch)
@@ -597,3 +636,83 @@ class TestSmoothedValues:
         rows = rows_counter(monkeypatch)
         g.marginal_flow(bench_1001, 0.5)
         assert rows["fits"] >= 1 and rows["exact"] <= 2000
+
+
+def fit_outcomes(monkeypatch) -> list:
+    """Record, per Gaussian sum that tries a fit, whether it certified."""
+    outcomes = []
+    certify = gaussian._certified_chebyshev
+
+    def recorded(*args):
+        coef = certify(*args)
+        outcomes.append(coef is not None)
+        return coef
+
+    monkeypatch.setattr(gaussian, "_certified_chebyshev", recorded)
+    return outcomes
+
+
+class TestGaussSum:
+    """The Gaussian sum against a term-by-term fsum, on the fitted and the dense path."""
+
+    rng = np.random.default_rng(41)
+    alpha = g.make_grid_measure(rng.normal(0.0, 0.5, 1000), rng.uniform(0.1, 1.0, 1000))
+
+    def points(self, s):
+        """4000 rows out to 6 sqrt(s) beyond the centres, and both infinities."""
+        atoms, root = self.alpha.atoms, np.sqrt(s)
+        inner = np.linspace(atoms[0] - 6.0 * root, atoms[-1] + 6.0 * root, 3998)
+        return np.concatenate([[-np.inf], inner, [np.inf]])
+
+    @pytest.mark.parametrize("kind", ["cdf", "sf", "density", "signed"])
+    @pytest.mark.parametrize("s", [0.01, 0.3, 1.0, 4.0])
+    def test_against_fsum(self, s, kind, monkeypatch):
+        c, w, density, sign = self.alpha.atoms, self.alpha.weights, kind == "density", 1.0
+        x = self.points(s)
+        outcomes = fit_outcomes(monkeypatch)
+        if kind == "cdf":
+            got = g.smoothed_cdf(self.alpha, s, x)
+        elif kind == "sf":
+            # the survival function is the CDF of the reflected mixture
+            got, sign = smoothed_sf(self.alpha, s, x), -1.0
+        else:
+            # the partial-mean weights of max_covariance_smoothed change sign
+            w = w * c if kind == "signed" else w
+            got = gaussian._gauss_sum(x, c, w, s, density=density)
+        # at s = 0.01 the fit's degree makes it cost more than the sweep
+        assert outcomes == [s != 0.01]
+        rows = np.unique(np.concatenate([np.linspace(0, x.size - 1, 24).astype(int),
+                                         np.arange(4), x.size - 1 - np.arange(4)]))
+        want = np.array([gauss_sum_fsum(sign * y, sign * c, w, s, density) for y in x[rows]])
+        err = np.abs(got[rows] - want)
+        scale = np.sum(np.abs(w)) / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
+        assert np.all(err <= 2.0 ** -48 * scale)
+        if kind in ("cdf", "sf"):
+            # tail rows are swept densely and keep its relative accuracy
+            # (1.3e-14 at most here, on both paths)
+            tail = want <= 2.0 ** -20
+            assert tail.sum() >= 4
+            assert np.all(err[tail] <= 1e-13 * want[tail])
+
+    @pytest.mark.parametrize("share", ["default", "inf"])
+    def test_failed_certification_returns_the_dense_sweep(self, share, monkeypatch):
+        c, w = self.alpha.atoms, self.alpha.weights
+        x = self.points(1.0)[1:-1]
+        if share == "inf":
+            monkeypatch.setattr(gaussian, "_FIT_SHARE", np.inf)
+        fits = count_fits(monkeypatch, shift=1e-9)
+        got = g.smoothed_cdf(self.alpha, 1.0, x)
+        assert fits and all(b == 2 * a for a, b in zip(fits, fits[1:]))
+        # the loop stopped at the first degree it could not afford: by the cost
+        # rule, or, with any share, once the fit's rows would reach the sweep's
+        last, n_x, n_c = 2 * fits[-1], x.size, c.size
+        assert (2 * last >= n_x if share == "inf"
+                else (2 * last + 1) * n_c + last * n_x > gaussian._FIT_SHARE * n_x * n_c)
+        assert np.array_equal(got, ndtr(x[:, None] - c[None, :]) @ w)
+
+    def test_small_calls_make_no_fit(self, monkeypatch):
+        outcomes = fit_outcomes(monkeypatch)
+        few_rows = g.smoothed_cdf(self.alpha, 1.0, self.points(1.0)[1:64])
+        few_centres = g.make_grid_measure(self.alpha.atoms[:64], self.alpha.weights[:64])
+        g.smoothed_cdf(few_centres, 1.0, self.points(1.0))
+        assert outcomes == [] and few_rows.size == 63
