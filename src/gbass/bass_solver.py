@@ -22,6 +22,7 @@ from .gaussian import (
     heat_convolve_inverse,
     mixture_quantiles,
     smoothed_cdf,
+    smoothed_sf,
 )
 from .measures import (
     ComponentDecomposition,
@@ -140,11 +141,19 @@ def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-13,
 
 
 def _terminal_level_masses(fn: StepFn, alpha: GridMeasure) -> np.ndarray:
-    """Mass that alpha * gamma_1 assigns to each level set of fn (exact)."""
+    """Mass that alpha * gamma_1 assigns to each level set of fn (exact).
+
+    As for the thresholds, masses below the median are differences of the
+    mixture CDF and masses above it differences of its survival function, so
+    tail masses keep their relative accuracy and the top one is not 1 - CDF.
+    """
     if fn.thresholds.size == 0:
         return np.array([1.0])
-    mix_cdf = smoothed_cdf(alpha, 1.0, fn.thresholds)
-    return np.diff(np.concatenate([[0.0], mix_cdf, [1.0]]))
+    below = np.concatenate([[0.0], smoothed_cdf(alpha, 1.0, fn.thresholds)])
+    k = np.count_nonzero(below[1:] <= 0.5)
+    above = np.concatenate([smoothed_sf(alpha, 1.0, fn.thresholds[k:]), [0.0]])
+    return np.concatenate([np.diff(below[:k + 1]), [1.0 - below[k] - above[0]],
+                           -np.diff(above)])
 
 
 def solve_component(nu0: GridMeasure, nu1: GridMeasure,

@@ -36,7 +36,13 @@ def max_covariance_smoothed(eta: GridMeasure, alpha: GridMeasure, s: float) -> f
     """
     if s <= 0:
         raise ValueError(f"variance must be positive, got {s}")
-    cuts = mixture_quantiles(alpha, s, eta.cum_weights[:-1], eta.tail_weights[:-1])
+    return _comonotone_covariance(
+        eta, alpha, s, mixture_quantiles(alpha, s, eta.cum_weights[:-1], eta.tail_weights[:-1]))
+
+
+def _comonotone_covariance(eta: GridMeasure, alpha: GridMeasure, s: float,
+                           cuts: np.ndarray) -> float:
+    """E[XY] with X ~ alpha * gamma_s and Y = eta.atoms[j] between cuts[j - 1] and cuts[j]."""
     bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
     # E[X 1_{X <= b}] = sum_j w_j (a_j Phi(z_j) - sqrt(s) phi(z_j)), z_j = (b - a_j) / sqrt(s);
     # the density sum already carries the 1 / sqrt(s), hence the factor s
@@ -69,9 +75,13 @@ def dual_value(sol: BassSolution) -> float:
     """Mass-weighted covariance-form dual at the solved initial laws.
 
     Equals the primal at an exact fixed point; on reducible pairs the
-    per-component sum is a lower bound for the global dual.
+    per-component sum is a lower bound for the global dual. Each component's
+    target quantiles under alpha * gamma_1 are its fn's thresholds, so they
+    are read from the solution instead of solved again.
     """
-    return sum(comp.mass * component_dual_value(csol.source, csol.target, csol.alpha)
+    return sum(comp.mass * (_comonotone_covariance(csol.target, csol.alpha, 1.0,
+                                                   csol.fn.thresholds)
+                            - max_covariance(csol.source, csol.alpha))
                for comp, csol in zip(sol.decomposition.components, sol.component_solutions))
 
 

@@ -4,22 +4,22 @@ Provides the Gaussian distribution primitives, CDF/quantile of a Gaussian
 mixture over an atomic measure, and the heat-kernel convolution F * gamma_s
 (with spatial derivative) for monotone functions, exact for step functions
 and Gauss-Hermite elsewhere. ``_gauss_sum`` is the one Gaussian sum
-sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, interpolated in x where
-that pays, and ``invert_increasing`` the one bracketed monotone inversion.
-The two smoothed maps of the Bass fixed point each have one inversion built
-on it: ``mixture_quantiles`` inverts alpha * gamma_s (CDF below one half,
-survival function above), and ``heat_convolve_inverse`` inverts fn * gamma_s.
-``smoothed_values`` evaluates fn * gamma_s or its slope at many points, by a
-Chebyshev interpolant certified to 1e-13 of the range or by the Gaussian
-sum. Both interpolants are certified by ``_certified_chebyshev``.
+sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, and the one evaluator of
+the mixture CDF and SF and of a step function's smoothing fn * gamma_s and
+its slope. Where that pays it interpolates the sum in x by a chopped
+Chebyshev series, certified by ``_certified_chebyshev`` to 2^-48 * sum |w|
+of the dense formula, and tail rows are swept densely. ``invert_increasing``
+is the one bracketed monotone inversion. The two smoothed maps of the Bass
+fixed point each have one inversion built on it: ``mixture_quantiles``
+inverts alpha * gamma_s (CDF below one half, survival function above), and
+``heat_convolve_inverse`` inverts fn * gamma_s.
 
 Both inverses first fit one Chebyshev proxy of the smoothed map per call and
 solve on it (``_proxy_seed``). The proxy's roots only replace the warm start
 x0: every returned row is still verified by ``invert_increasing`` on the
-Gaussian sum, which is certified to 2^-48 * sum |w| of the dense formula,
-and on the dense formula itself for tail rows. The proxy is skipped when its
-fit would cost more than a quarter of the targets, as for a single target,
-and a failed fit or proxy solve leaves x0 as given.
+Gaussian sum, with its certified accuracy. The proxy is skipped when its fit
+would cost more than a quarter of the targets, as for a single target, and a
+failed fit or proxy solve leaves x0 as given.
 """
 
 from __future__ import annotations
@@ -42,15 +42,13 @@ _MIXTURE_TOL = 1e-13
 # super-geometrically once the degree passes a multiple of L / sqrt(s)
 # (Trefethen, Approximation Theory and Approximation Practice, ch. 8); at
 # 9 L / sqrt(s) both smoothed maps of the benchmark pairs fit to <= 3.1e-15.
+# It sets the degree of a proxy and the first degree of a Gaussian sum's fit.
 _DEGREE_PER_WIDTH = 9.0
-# a proxy's fit costs degree + 1 exact rows and saves about two per target;
-# it is fitted only while that cost stays within this share of the targets
+# a proxy's fit costs degree + 1 exact rows and saves about two per target; a
+# Gaussian sum's certified fit costs 2 degree + 1 dense rows and saves one per
+# row. Each is made only while its cost stays within this share of the
+# targets or rows.
 _FIT_SHARE = 0.25
-# starting degree per unit of half-width / sqrt(s) of a whole Gaussian sum's
-# fit, certified to 2^-48 of sum |w|: on the 34 solve sweeps of the 1001-atom
-# benchmark pair, 9 certified 1 at the first degree and 12 certified 23;
-# 14 and 16 certified all 34
-_SUM_DEGREE_PER_WIDTH = 16.0
 # a Gaussian sum with fewer rows, or at most this many centres, is swept densely
 _DENSE_SIZE = 64
 # standard score beyond which the Gaussian tail is below 2^-60
@@ -112,13 +110,14 @@ def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
     """sum_j weights[j] * Phi((x - centers[j]) / sqrt(s)), or the density sum.
 
     Shaped like np.atleast_1d(x). The sum is entire in x: on the finite range
-    of x, cut where every term is within 2^-60 of its bound, a Chebyshev fit
-    is certified to 2^-48 * sum |w| (over sqrt(2 pi s) for the density) of
-    the dense sweep, about that sweep's own rounding, while (2 degree + 1) n_c
-    + degree n_x stays within _FIT_SHARE n_x n_c and 2 degree < n_x. Rows
-    outside the cut, non-finite rows, rows fitted at most 2^-20 of that scale
-    (so tails keep their relative accuracy), calls with fewer than 64 rows or
-    at most 64 centres, and calls whose fit fails get the dense sweep.
+    of x, cut where every term is within 2^-60 of its bound, a chopped
+    Chebyshev series is certified to 2^-48 * sum |w| (over sqrt(2 pi s) for
+    the density) of the dense sweep, about that sweep's own rounding, while
+    its 2 degree + 1 dense rows stay within _FIT_SHARE (and at most all) of
+    the rows. Rows outside the cut, non-finite rows, rows fitted at most
+    2^-20 of that scale (so tails keep their relative accuracy), calls with
+    fewer than 64 rows or at most 64 centres, and calls whose fit fails get
+    the dense sweep.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.ravel()
@@ -135,10 +134,8 @@ def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
         return _gauss_sweep(points, centers, weights, s, density)
 
     coef = None if not a < b else _certified_chebyshev(
-        sweep, a, b, int(np.ceil(_SUM_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
-        lambda *_: 2.0 ** -48 * scale,
-        lambda degree: (2 * degree < n_x and (2 * degree + 1) * n_c + degree * n_x
-                        <= _FIT_SHARE * n_x * n_c))
+        sweep, a, b, int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
+        (min(_FIT_SHARE, 1.0) * n_x - 1.0) / 2.0, 2.0 ** -48 * scale)
     if coef is None:
         return sweep(xs).reshape(x.shape)
     inside = finite & (xs >= a) & (xs <= b)
@@ -262,26 +259,31 @@ def _chebyshev_fit(f, a: float, b: float, degree: int) -> np.ndarray:
     return coef
 
 
-def _certified_chebyshev(evaluate, a: float, b: float, degree: int, bound, affordable):
-    """Chebyshev coefficients on [a, b] of evaluate's interpolant, certified, or None.
+def _certified_chebyshev(evaluate, a: float, b: float, degree: int, max_degree: float,
+                         bound: float):
+    """Chebyshev coefficients on [a, b] of evaluate's interpolant, chopped and certified, or None.
 
-    The interpolant at degree + 1 second-kind points is checked at the degree
-    first-kind points between them, where it must be within
-    bound(values, check) of evaluate, given the values at both point sets. A
+    The interpolant at degree + 1 second-kind points is chopped: its trailing
+    coefficients whose absolute values sum to at most bound / 2 are dropped
+    (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017). The
+    kept series is checked at the degree first-kind points between those
+    points, where it must be within bound of evaluate, and is returned. A
     failed check doubles the degree, reusing both point sets, which together
-    are the second-kind points of twice the degree. None comes back once
-    affordable(degree) fails before a fit certifies.
+    are the second-kind points of twice the degree. None comes back once the
+    degree passes max_degree before a fit certifies.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     values = None
-    while affordable(degree):
+    while degree <= max_degree:
         if values is None:
             values = evaluate(mid + half * np.cos(np.pi * np.arange(degree + 1) / degree))
         between = np.cos(np.pi * np.arange(1, 2 * degree, 2) / (2 * degree))
         check = evaluate(mid + half * between)
         # the values at the fit's second-kind points are already in hand
         coef = _chebyshev_fit(lambda _: values, a, b, degree)
-        if np.max(np.abs(chebval(between, coef) - check)) <= bound(values, check):
+        tail = np.cumsum(np.abs(coef[::-1]))[::-1]  # tail[k] = sum |coef[k:]|
+        coef = coef[:max(1, np.count_nonzero(tail > 0.5 * bound))]
+        if np.max(np.abs(chebval(between, coef) - check)) <= bound:
             return coef
         values, degree = np.insert(values, np.arange(1, degree + 1), check), 2 * degree
     return None
@@ -525,37 +527,6 @@ def _constant_beyond(fn: MonotoneFn) -> tuple[float, float] | None:
     if isinstance(fn, TableFn):
         return float(fn.xs[0]), float(fn.xs[-1])
     return None
-
-
-def smoothed_values(fn: StepFn, s: float, x, deriv: bool = False) -> np.ndarray:
-    """fn * gamma_s at the points x, or its slope with deriv (which needs s > 0).
-
-    Interpolates on [x.min, x.max], cut where the Gaussian tail bound puts
-    fn * gamma_s within 2^-60 of its range from its bounds (points beyond get
-    the end value). _certified_chebyshev certifies values to 1e-13 of
-    (upper - lower) and slopes to 1e-13 of the largest sampled slope. The
-    Gaussian sum at every point is returned for s == 0, at most 64
-    thresholds, an empty cut, or once fit plus certification would cost more
-    than _FIT_SHARE of the points.
-    """
-    x = np.asarray(x, dtype=float)
-    evaluate = fn.heat_convolve_deriv if deriv else fn.heat_convolve
-    if s == 0.0 or fn.thresholds.size <= _DENSE_SIZE or x.size == 0:
-        return evaluate(s, x)
-    root = np.sqrt(s)
-    a = max(float(x.min()), fn.thresholds[0] + root * _TAIL_Z)
-    b = min(float(x.max()), fn.thresholds[-1] - root * _TAIL_Z)
-    if not a < b:
-        return evaluate(s, x)
-    coef = _certified_chebyshev(
-        lambda points: evaluate(s, points), a, b,
-        int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
-        lambda values, check: 1e-13 * (max(np.max(values), np.max(check)) if deriv
-                                       else fn.upper - fn.lower),
-        lambda degree: 2 * degree + 1 <= _FIT_SHARE * x.size)
-    if coef is None:
-        return evaluate(s, x)
-    return chebval((np.clip(x, a, b) - 0.5 * (a + b)) / (0.5 * (b - a)), coef)
 
 
 def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> np.ndarray:

@@ -12,13 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bass_solver import (
-    BassSolution,
-    SolverParams,
-    _terminal_level_masses,
-    solve_decomposed,
-)
-from .gaussian import gauss_hermite, heat_convolve_inverse, smoothed_values
+from .bass_solver import BassSolution, SolverParams, solve_decomposed
+from .gaussian import gauss_hermite, heat_convolve_inverse
 from .measures import (
     GridMeasure,
     MeasureError,
@@ -131,15 +126,17 @@ def _compact(atoms: np.ndarray, weights: np.ndarray, max_atoms: int) -> tuple[np
 def marginal_flow(gsol: GeometricSolution, t: float) -> GridMeasure:
     """Law of the price at time t.
 
-    The driving law at time t is quantized by Gauss-Hermite nodes around each
-    initial atom, pushed through the smoothed generating function, and
-    reflected back through s = m / y with the density weighting y. The nodes
-    integrate fn * gamma_{1-t} against the Gaussian, so the mean m is kept to
-    quadrature accuracy. Interior times read the nodes' values from
-    smoothed_values, certified to 1e-13 of fn's range.
+    At t = 0 and t = 1 this is the initial and the terminal marginal, exactly.
+    In between, the driving law at time t is quantized by Gauss-Hermite nodes
+    around each initial atom, pushed through the smoothed generating function
+    fn.heat_convolve(1 - t, .), and reflected back through s = m / y with the
+    density weighting y. The nodes integrate fn * gamma_{1-t} against the
+    Gaussian, so the mean m is kept to quadrature accuracy.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
+    if t in (0.0, 1.0):
+        return gsol.mu0 if t == 0.0 else gsol.mu1
     m = gsol.m
     decomp = gsol.arithmetic.decomposition
     atoms_parts: list[np.ndarray] = []
@@ -147,19 +144,10 @@ def marginal_flow(gsol: GeometricSolution, t: float) -> GridMeasure:
 
     n_alpha = sum(s.alpha.n for s in gsol.arithmetic.component_solutions)
     for comp, csol in zip(decomp.components, gsol.arithmetic.component_solutions):
-        if t == 1.0:
-            vals = csol.target.atoms
-            w = _terminal_level_masses(csol.fn, csol.alpha) * comp.mass
-        elif t == 0.0:
-            vals = csol.fn.heat_convolve(1.0, csol.alpha.atoms)
-            w = csol.alpha.weights * comp.mass
-        else:
-            gh_nodes, gh_weights = gauss_hermite(max(12, FLOW_GRID_MAX // (2 * n_alpha)))
-            nodes = (csol.alpha.atoms[:, None] + np.sqrt(t) * gh_nodes[None, :]).ravel()
-            vals = smoothed_values(csol.fn, 1.0 - t, nodes)
-            w = np.outer(csol.alpha.weights, gh_weights).ravel() * comp.mass
-        atoms_parts.append(np.atleast_1d(vals))
-        weights_parts.append(np.atleast_1d(w))
+        gh_nodes, gh_weights = gauss_hermite(max(12, FLOW_GRID_MAX // (2 * n_alpha)))
+        nodes = (csol.alpha.atoms[:, None] + np.sqrt(t) * gh_nodes[None, :]).ravel()
+        atoms_parts.append(csol.fn.heat_convolve(1.0 - t, nodes))
+        weights_parts.append(np.outer(csol.alpha.weights, gh_weights).ravel() * comp.mass)
 
     if decomp.identity_restriction is not None:
         atoms_parts.append(decomp.identity_restriction.atoms)

@@ -4,11 +4,13 @@ The arithmetic engine samples F_t(W_t), F_t = fn * gamma_{1-t}, with exact
 marginals (component pasting plus static mass); the weighted engine reads the
 price m / F_t(W_t) off those paths, weighted by F_1(W_1) / m. The SDE engine
 samples the price measure itself, where by Girsanov W gains the drift
-d/dx log F_t, and S_t = m / F_t(W_t) needs no clamping. Both read F_t through
-``smoothed_values``, certified to 1e-13. Every path owns a counter-based random
-stream keyed by (seed, path index), so ensembles are reproducible independently
-of chunking. Path and flow CSVs hold each value as '%.17g' formats it, byte for
-byte, computed for whole blocks of values at once.
+d/dx log F_t, and S_t = m / F_t(W_t) needs no clamping. Both read F_t and its
+slope from ``StepFn.heat_convolve`` and ``heat_convolve_deriv``: Gaussian sums
+certified to 2^-48 of fn's range (over sqrt(2 pi s) for the slope). Every path
+owns a counter-based random stream keyed by (seed, path index), so ensembles
+are reproducible independently of chunking. Path and flow CSVs hold each
+value as '%.17g' formats it, byte for byte, computed for whole blocks of
+values at once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from scipy.special import ndtri
 
 from .bass_solver import BassSolution
 from .geometric_bridge import GeometricSolution, component_solution
-from .gaussian import smoothed_values
 from .measures import make_grid_measure, quantile, wasserstein1
 
 _CHUNK = 16384
@@ -143,8 +144,8 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
 
     Each path draws its component, its initial point, and its increments from
     its own stream. At t = 0 a path sits on the source atom its alpha atom
-    maps to; later times read F_t through smoothed_values, so marginals at
-    grid times are exact up to its certified 1e-13 of the range.
+    maps to; later times read F_t through fn.heat_convolve, so marginals at
+    grid times are exact up to its certified 2^-48 of fn's range.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
@@ -181,7 +182,7 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
         # W_0 is an alpha atom a_i, and F_0(a_i) = source.atoms[i] to the solver's residual
         paths[rows, 0] = csol.source.atoms[np.searchsorted(csol.alpha.atoms, paths[rows, 0])]
         for k, t in enumerate(grid[1:], start=1):
-            paths[rows, k] = smoothed_values(csol.fn, 1.0 - t, paths[rows, k])
+            paths[rows, k] = csol.fn.heat_convolve(1.0 - t, paths[rows, k])
     static = np.flatnonzero(labels == 0)
     if static.size:
         paths[static, 1:] = paths[static, :1]
@@ -214,8 +215,9 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
     drift d/dx log F_t, where F_t = fn * gamma_{1-t}. W_0 is drawn from alpha
     reweighted by F_0(a_i) = source.atoms[i], which puts S_0 exactly on the
     initial marginal; then W += (F_t' / F_t)(W) dt + sqrt(dt) ndtri(u), with
-    F_t and F_t' from smoothed_values, and S_1 = m / fn(W_1) lies on the
-    terminal atoms. S never leaves (m / upper, m / lower), so clamp_count is 0.
+    F_t and F_t' from fn.heat_convolve and fn.heat_convolve_deriv, and
+    S_1 = m / fn(W_1) lies on the terminal atoms. S never leaves
+    (m / upper, m / lower), so clamp_count is 0.
     A component_index outside the solved components raises ValueError.
     """
     if n_steps < 1 or n_paths < 1:
@@ -244,9 +246,9 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
     paths = np.empty((n_paths, n_steps + 1))
     for k in range(n_steps):
         s = 1.0 - grid[k]
-        value = source.atoms[pick] if k == 0 else smoothed_values(fn, s, w)
+        value = source.atoms[pick] if k == 0 else fn.heat_convolve(s, w)
         paths[:, k] = m / value
-        w = w + smoothed_values(fn, s, w, deriv=True) / value * dt[k] + incr[:, k]
+        w = w + fn.heat_convolve_deriv(s, w) / value * dt[k] + incr[:, k]
     paths[:, -1] = m / fn(w)
     return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
 

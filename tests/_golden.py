@@ -1,0 +1,87 @@
+"""Golden outputs of the benchmark pairs, written to and compared between .npz files.
+
+    PYTHONPATH=src python tests/_golden.py write out.npz
+    PYTHONPATH=src python tests/_golden.py compare a.npz b.npz
+
+``write`` solves the benchmark's lognormal pair at 201 and at 1001 atoms and
+stores, per grid size: the solved alpha and thresholds, the value report,
+the marginal flows at t in FLOW_TIMES, the volatilities at VOL_POINTS, and
+the weighted and SDE paths (PATHS paths x STEPS steps, seed SEED).
+``compare`` prints, per array, the largest relative difference
+|a - b| / max(|a|, |b|), with 0 where both are 0. Not a test module: pytest
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import gbass as g
+from gbass.cli import build_marginals
+
+GRID_SIZES = (201, 1001)
+FLOW_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
+SIGMA = math.sqrt(0.12)  # the pair's Bass martingale is GBM with this volatility
+VOL_POINTS = [(t, math.exp(SIGMA * math.sqrt(t) * z - SIGMA ** 2 * t / 2.0))
+              for t in (0.25, 0.5, 0.75) for z in (-1.0, 0.0, 1.0)]
+PATHS, STEPS, SEED = 2000, 10, 7
+
+
+def solve(grid_size: int) -> g.GeometricSolution:
+    config = {
+        "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": grid_size},
+        "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "grid_size": grid_size},
+    }
+    return g.solve_geometric(*build_marginals(config, Path(".")))
+
+
+def goldens(grid_size: int) -> dict[str, np.ndarray]:
+    gsol = solve(grid_size)
+    csol = gsol.arithmetic.component_solutions[0]
+    report = g.make_value_report(gsol, SIGMA, SIGMA)
+    out = {"alpha": csol.alpha.atoms, "thresholds": csol.fn.thresholds,
+           "value_report": np.array(list(report.to_dict().values()))}
+    for t in FLOW_TIMES:
+        flow = g.marginal_flow(gsol, t)
+        out[f"flow_{t}_atoms"], out[f"flow_{t}_weights"] = flow.atoms, flow.weights
+    out["vols"] = np.array([g.sde_volatility(gsol, 0, t, s) for t, s in VOL_POINTS])
+    weighted = g.simulate_geometric_weighted(gsol, STEPS, PATHS, SEED)
+    out["weighted_paths"], out["weighted_weights"] = weighted.paths, weighted.weights
+    out["sde_paths"] = g.simulate_geometric_sde(gsol, 0, STEPS, PATHS, SEED).paths
+    return {f"{grid_size}/{key}": value for key, value in out.items()}
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    scale = np.maximum(np.abs(a), np.abs(b))
+    diff = np.abs(a - b)
+    return float(np.max(np.where(scale > 0, diff / np.where(scale > 0, scale, 1.0), 0.0),
+                        initial=0.0))
+
+
+def compare(a, b) -> None:
+    for key in sorted(set(a.files) | set(b.files)):
+        if key not in a.files or key not in b.files:
+            print(f"{key:32s} only in {'the first' if key in a.files else 'the second'}")
+        elif a[key].shape != b[key].shape:
+            print(f"{key:32s} shapes differ: {a[key].shape} vs {b[key].shape}")
+        else:
+            print(f"{key:32s} {relative_difference(a[key], b[key]):.3e}")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "write":
+        np.savez(argv[1], **{k: v for n in GRID_SIZES for k, v in goldens(n).items()})
+    elif len(argv) == 3 and argv[0] == "compare":
+        compare(np.load(argv[1]), np.load(argv[2]))
+    else:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -59,6 +59,19 @@ class TestMonotoneRearrangement:
         assert np.all(np.diff(csol.fn.thresholds) > 0)
         assert max(csol.residual_source, csol.residual_target) <= 1e-10
 
+    def test_deep_tail_masses_stay_nonnegative(self):
+        # at 401 atoms the mixture CDF at the last threshold rounds above one,
+        # so 1 - CDF would give the top level a mass of -2.2e-16; survival
+        # differences keep the tail masses at their targets' 9e-18 and above
+        mu0, mu1 = lognormal_measure(-0.02, 0.2, 401), lognormal_measure(-0.08, 0.4, 401)
+        sol = g.solve_geometric(mu0, mu1)
+        csol = sol.arithmetic.component_solutions[0]
+        masses = _terminal_level_masses(csol.fn, csol.alpha)
+        assert np.all(masses >= 0)
+        assert np.max(np.abs(masses[-3:] / csol.target.weights[-3:] - 1.0)) <= 1e-4
+        tolerance = g.SolverParams().fit_tolerance
+        assert max(csol.residual_source, csol.residual_target) <= tolerance
+
     def test_tie_repair_keeps_increasing_thresholds(self, monkeypatch):
         solved = np.array([-1e300, -2.5, -0.0, 5e-324, 1e-300, 7.0])
         monkeypatch.setattr(bass_solver, "mixture_quantiles", lambda *args, **kw: solved.copy())

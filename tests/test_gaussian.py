@@ -480,10 +480,10 @@ def rows_counter(monkeypatch):
 
     exact: rows asked of the mixture CDF/SF and of StepFn smoothing, on
     whichever path the sum takes. fit, fits: nodes and number of
-    _chebyshev_fit calls made outside a Gaussian sum (the proxy's and
-    smoothed_values'). sum_fits, sum_rows: fits a Gaussian sum makes of
-    itself and the dense rows they take. dense: every other row of the dense
-    kernel, the density's included.
+    _chebyshev_fit calls made outside a Gaussian sum (the proxy's).
+    sum_fits, sum_rows: fits a Gaussian sum makes of itself and the dense
+    rows they take. dense: every other row of the dense kernel, the
+    density's included.
     """
     rows = {"exact": 0, "fit": 0, "fits": 0, "sum_fits": 0, "sum_rows": 0, "dense": 0}
     stack = []
@@ -555,10 +555,12 @@ class TestChebyshevProxy:
             assert counts["exact"] - counts["fit"] <= 1.2 * targets
             assert counts["dense"] - counts["fit"] <= 1.2 * targets
         # the verify sweep over every target fits itself at 1001 atoms: the
-        # CDF and SF halves of the rearrangement, and the smoothed map once;
-        # at 201 the cost rule keeps every sum dense
+        # CDF and SF halves of the rearrangement and the smoothed map each
+        # double once from the first degree; at 201 the cost rule keeps the
+        # halves (about 100 rows each) dense, and the smoothed map's 201 rows
+        # try degree 16, which does not certify, and cannot afford 32
         fitted = [counts["sum_fits"] for counts, _ in solves]
-        assert fitted == ([2, 1] if csol.source.n == 1001 else [0, 0])
+        assert fitted == ([4, 2] if csol.source.n == 1001 else [0, 1])
 
     def test_single_target_builds_no_proxy(self, bench, monkeypatch):
         rows = rows_counter(monkeypatch)
@@ -584,12 +586,25 @@ def exact_sweep(fn, s, x, deriv):
     return fn.heat_convolve_deriv(s, x) if deriv else fn.heat_convolve(s, x)
 
 
+def dense_sweep(fn, s, x, deriv):
+    """fn * gamma_s or its slope with every kernel term evaluated: the sum's dense path."""
+    if s == 0:
+        return fn(x)
+    sweep = gaussian._gauss_sweep(x, fn.thresholds, fn.jumps, s, deriv)
+    return sweep if deriv else fn.levels[0] + sweep
+
+
 class TestSmoothedValues:
-    """The certified surface of fn * gamma_s against the exact sweep."""
+    """The smoothed values fn * gamma_s of StepFn.heat_convolve(_deriv) against the dense sweep."""
 
     @staticmethod
     def points(fn, n=20000):
         return np.linspace(fn.thresholds[0] - 1.0, fn.thresholds[-1] + 1.0, n)
+
+    @staticmethod
+    def bound(fn, s, deriv):
+        """2^-48 of the jumps' total, over sqrt(2 pi s) for the slope."""
+        return 2.0 ** -48 * np.sum(fn.jumps) / (np.sqrt(2.0 * np.pi * s) if deriv else 1.0)
 
     @pytest.mark.parametrize("deriv", [False, True])
     @pytest.mark.parametrize("s", [0.99, 0.5, 0.1, 0.01])
@@ -597,28 +612,46 @@ class TestSmoothedValues:
         fn = bench.arithmetic.component_solutions[0].fn
         x = self.points(fn)
         fits = count_fits(monkeypatch)
-        got = gaussian.smoothed_values(fn, s, x, deriv)
-        exact = exact_sweep(fn, s, x, deriv)
-        scale = np.max(exact) if deriv else fn.upper - fn.lower
+        got = exact_sweep(fn, s, x, deriv)
         assert fits
-        assert np.max(np.abs(got - exact)) <= 1e-13 * scale
+        assert np.max(np.abs(got - dense_sweep(fn, s, x, deriv))) <= self.bound(fn, s, deriv)
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_chopped_series_meets_the_bound(self, bench_1001, deriv, monkeypatch):
+        fn = bench_1001.arithmetic.component_solutions[0].fn
+        fits, kept = count_fits(monkeypatch), []
+        certify = gaussian._certified_chebyshev
+
+        def recorded(evaluate, a, b, *args):
+            kept.append((a, b, certify(evaluate, a, b, *args)))
+            return kept[-1][2]
+
+        monkeypatch.setattr(gaussian, "_certified_chebyshev", recorded)
+        exact_sweep(fn, 0.1, self.points(fn), deriv)
+        [(a, b, coef)] = kept
+        # the series certified at the last fitted degree, cut by a quarter or more
+        assert coef.size <= 0.75 * (fits[-1] + 1)
+        x = np.linspace(a, b, 5000)
+        got = np.polynomial.chebyshev.chebval((x - 0.5 * (a + b)) / (0.5 * (b - a)), coef)
+        want = gaussian._gauss_sweep(x, fn.thresholds, fn.jumps, 0.1, deriv)
+        assert np.max(np.abs(got - want)) <= self.bound(fn, 0.1, deriv)
 
     @pytest.mark.parametrize("deriv", [False, True])
     def test_failed_certification_returns_the_exact_sweep(self, bench_201, deriv, monkeypatch):
         fn = bench_201.arithmetic.component_solutions[0].fn
         x = self.points(fn)
         fits = count_fits(monkeypatch, shift=1e-9)
-        got = gaussian.smoothed_values(fn, 0.5, x, deriv)
+        got = exact_sweep(fn, 0.5, x, deriv)
         # every doubling was tried until the cost rule stopped it
         assert len(fits) >= 2 and 2 * (2 * fits[-1]) + 1 > gaussian._FIT_SHARE * x.size
-        assert np.array_equal(got, exact_sweep(fn, 0.5, x, deriv))
+        assert np.array_equal(got, dense_sweep(fn, 0.5, x, deriv))
 
     @pytest.mark.parametrize("case", ["few points", "s = 0", "few thresholds", "empty cut"])
     def test_exact_cases_make_no_fit(self, bench_201, step_solution, case, monkeypatch):
         fn = bench_201.arithmetic.component_solutions[0].fn
         x, s = self.points(fn), 0.5
         if case == "few points":
-            # the first degree is 51: fit plus certification cost 103 rows, above 40 / 4
+            # fewer than 64 rows are swept densely
             x = np.linspace(x[0], x[-1], 40)
         elif case == "s = 0":
             s = 0.0
@@ -628,14 +661,17 @@ class TestSmoothedValues:
             # the cut ends 8.8 sqrt(s) = 6.2 above the last threshold
             x = fn.thresholds[-1] + np.linspace(10.0, 11.0, x.size)
         fits = count_fits(monkeypatch)
-        assert np.array_equal(gaussian.smoothed_values(fn, s, x), fn.heat_convolve(s, x))
+        assert np.array_equal(fn.heat_convolve(s, x), dense_sweep(fn, s, x, False))
         assert fits == []
 
     def test_flow_sweeps_few_exact_rows(self, bench_1001, monkeypatch):
-        # an exact sweep of t = 0.5 evaluates all 1000 x 12 Gauss-Hermite nodes, 12 012 rows
+        # a dense sweep of t = 0.5 evaluates all 1000 x 12 Gauss-Hermite nodes,
+        # 12 012 rows; the fit takes its nodes and check points, and tail rows
+        # are swept densely
         rows = rows_counter(monkeypatch)
         g.marginal_flow(bench_1001, 0.5)
-        assert rows["fits"] >= 1 and rows["exact"] <= 2000
+        assert rows["exact"] == 12012
+        assert rows["sum_fits"] >= 1 and rows["sum_rows"] + rows["dense"] <= 2000
 
 
 def fit_outcomes(monkeypatch) -> list:
@@ -665,7 +701,7 @@ class TestGaussSum:
         return np.concatenate([[-np.inf], inner, [np.inf]])
 
     @pytest.mark.parametrize("kind", ["cdf", "sf", "density", "signed"])
-    @pytest.mark.parametrize("s", [0.01, 0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("s", [0.001, 0.01, 0.3, 1.0, 4.0])
     def test_against_fsum(self, s, kind, monkeypatch):
         c, w, density, sign = self.alpha.atoms, self.alpha.weights, kind == "density", 1.0
         x = self.points(s)
@@ -679,8 +715,9 @@ class TestGaussSum:
             # the partial-mean weights of max_covariance_smoothed change sign
             w = w * c if kind == "signed" else w
             got = gaussian._gauss_sum(x, c, w, s, density=density)
-        # at s = 0.01 the fit's degree makes it cost more than the sweep
-        assert outcomes == [s != 0.01]
+        # at s = 0.001 the fit's degree makes it cost more than the sweep:
+        # 2 degree + 1 = 1141 rows against a quarter of 4000
+        assert outcomes == [s != 0.001]
         rows = np.unique(np.concatenate([np.linspace(0, x.size - 1, 24).astype(int),
                                          np.arange(4), x.size - 1 - np.arange(4)]))
         want = np.array([gauss_sum_fsum(sign * y, sign * c, w, s, density) for y in x[rows]])
@@ -705,9 +742,9 @@ class TestGaussSum:
         assert fits and all(b == 2 * a for a, b in zip(fits, fits[1:]))
         # the loop stopped at the first degree it could not afford: by the cost
         # rule, or, with any share, once the fit's rows would reach the sweep's
-        last, n_x, n_c = 2 * fits[-1], x.size, c.size
+        last, n_x = 2 * fits[-1], x.size
         assert (2 * last >= n_x if share == "inf"
-                else (2 * last + 1) * n_c + last * n_x > gaussian._FIT_SHARE * n_x * n_c)
+                else 2 * last + 1 > gaussian._FIT_SHARE * n_x)
         assert np.array_equal(got, ndtr(x[:, None] - c[None, :]) @ w)
 
     def test_small_calls_make_no_fit(self, monkeypatch):

@@ -13,6 +13,14 @@ def test_flow_keeps_martingale_mean(bench_201, t):
     assert abs(g.marginal_flow(bench_201, t).mean - bench_201.m) <= 1e-6
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("grid_size", [201, 1001])
+def test_flow_ends_are_the_marginals(request, grid_size, t):
+    gsol = request.getfixturevalue(f"bench_{grid_size}")
+    flow, mu = g.marginal_flow(gsol, t), gsol.mu0 if t == 0.0 else gsol.mu1
+    assert np.array_equal(flow.atoms, mu.atoms) and np.array_equal(flow.weights, mu.weights)
+
+
 def test_sde_volatility_matches_gbm(bench_201):
     times = np.linspace(0.1, 0.9, 9)
     scores = np.linspace(-2.0, 2.0, 9)

@@ -35,7 +35,7 @@ def nearest_relative_gap(values, atoms):
 
 @pytest.mark.parametrize("engine", ["weighted", "sde"])
 def test_chunks_do_not_change_paths(bench_201, monkeypatch, engine):
-    # enough paths for smoothed_values to fit its interpolant at every step
+    # enough paths for the Gaussian sums of F_t to fit their interpolant at every step
     whole = run_engine(engine, bench_201, 5, 1100, SEED)
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     chunked = run_engine(engine, bench_201, 5, 1100, SEED)
