@@ -8,11 +8,13 @@ sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, and the one evaluator of
 the mixture CDF and SF and of a step function's smoothing fn * gamma_s and
 its slope. Where that pays it interpolates the sum in x by a chopped
 Chebyshev series, certified by ``_certified_chebyshev`` to 2^-48 * sum |w|
-of the dense formula, and tail rows are swept densely. ``invert_increasing``
-is the one bracketed monotone inversion. The two smoothed maps of the Bass
-fixed point each have one inversion built on it: ``mixture_quantiles``
-inverts alpha * gamma_s (CDF below one half, survival function above), and
-``heat_convolve_inverse`` inverts fn * gamma_s.
+of the dense formula, and tail rows are swept densely. ``_clenshaw`` is the
+one evaluator of every Chebyshev series, fitted or proxy: numpy's chebval,
+bit for bit, in place. ``invert_increasing`` is the one bracketed monotone
+inversion. The two smoothed maps of the Bass fixed point each have one
+inversion built on it: ``mixture_quantiles`` inverts alpha * gamma_s (CDF
+below one half, survival function above), and ``heat_convolve_inverse``
+inverts fn * gamma_s.
 
 Both inverses first fit one Chebyshev proxy of the smoothed map per call and
 solve on it (``_proxy_seed``). The proxy's roots only replace the warm start
@@ -27,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder
 from scipy.fft import dct
 from scipy.special import ndtr, ndtri, roots_hermitenorm
 
@@ -140,7 +142,7 @@ def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
         return sweep(xs).reshape(x.shape)
     inside = finite & (xs >= a) & (xs <= b)
     out = np.empty_like(xs)
-    out[inside] = chebval((xs[inside] - 0.5 * (a + b)) / (0.5 * (b - a)), coef)
+    out[inside] = _clenshaw((xs[inside] - 0.5 * (a + b)) / (0.5 * (b - a)), coef)
     dense = ~inside
     dense[inside] = np.abs(out[inside]) <= 2.0 ** -20 * scale
     out[dense] = sweep(xs[dense])
@@ -259,6 +261,19 @@ def _chebyshev_fit(f, a: float, b: float, degree: int) -> np.ndarray:
     return coef
 
 
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's chebval(x, c) for a 1-D x and series c, bit for bit: its Clenshaw recurrence
+    c0 = c[-i] - c1, c1 = tmp + c1 * 2x, in its order, on three buffers written in place."""
+    if c.size < 3:
+        return c[0] + (c[1] if c.size == 2 else 0.0) * x
+    x2 = 2.0 * x
+    c0, c1, tmp = np.full_like(x, c[-3] - c[-1]), c[-2] + c[-1] * x2, np.empty_like(x)
+    for ci in c[-4::-1]:
+        np.add(np.multiply(c1, x2, out=tmp), c0, out=tmp)
+        c0, c1, tmp = np.subtract(ci, c1, out=c0), tmp, c1
+    return np.add(np.multiply(c1, x, out=c1), c0, out=c1)
+
+
 def _certified_chebyshev(evaluate, a: float, b: float, degree: int, max_degree: float,
                          bound: float):
     """Chebyshev coefficients on [a, b] of evaluate's interpolant, chopped and certified, or None.
@@ -283,7 +298,7 @@ def _certified_chebyshev(evaluate, a: float, b: float, degree: int, max_degree: 
         coef = _chebyshev_fit(lambda _: values, a, b, degree)
         tail = np.cumsum(np.abs(coef[::-1]))[::-1]  # tail[k] = sum |coef[k:]|
         coef = coef[:max(1, np.count_nonzero(tail > 0.5 * bound))]
-        if np.max(np.abs(chebval(between, coef) - check)) <= bound:
+        if np.max(np.abs(_clenshaw(between, coef) - check)) <= bound:
             return coef
         values, degree = np.insert(values, np.arange(1, degree + 1), check), 2 * degree
     return None
@@ -315,8 +330,8 @@ def _proxy_seed(f, s: float, targets: np.ndarray, lo, hi, tol: float, x0):
     slope = chebder(coef) * scale
     mid = 0.5 * (a + b)
     try:
-        return invert_increasing(lambda x: chebval((x - mid) * scale, coef),
-                                 lambda x: chebval((x - mid) * scale, slope),
+        return invert_increasing(lambda x: _clenshaw((x - mid) * scale, coef),
+                                 lambda x: _clenshaw((x - mid) * scale, slope),
                                  targets, lo, hi, tol=tol / 10.0, x0=x0)
     except InversionError:
         return x0

@@ -7,10 +7,12 @@ samples the price measure itself, where by Girsanov W gains the drift
 d/dx log F_t, and S_t = m / F_t(W_t) needs no clamping. Both read F_t and its
 slope from ``StepFn.heat_convolve`` and ``heat_convolve_deriv``: Gaussian sums
 certified to 2^-48 of fn's range (over sqrt(2 pi s) for the slope). Every path
-owns a counter-based random stream keyed by (seed, path index), so ensembles
-are reproducible independently of chunking. Path and flow CSVs hold each
-value as '%.17g' formats it, byte for byte, computed for whole blocks of
-values at once.
+owns a counter-based random stream keyed by (seed, path index), bit for bit
+numpy's Philox(key=[seed, index]), so ensembles are reproducible independently
+of chunking; a block's streams are computed at once, as arrays over (path,
+counter), and a seed outside [0, 2^64) raises ValueError. Path and flow CSVs
+hold each value as '%.17g' formats it, byte for byte, computed for whole
+blocks of values at once.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .bass_solver import BassSolution
 from .geometric_bridge import GeometricSolution, component_solution
 from .measures import make_grid_measure, quantile, wasserstein1
 
-_CHUNK = 16384
+_CHUNK = 1024  # paths per stream block: at 102 uniforms a Philox word array is 213 kB, in cache
 _MIN_U = 2.0 ** -53
 _CSV_CELLS = 8192  # values formatted per block; its temporaries stay within about 1 MB
 _TENS = np.array([float(f"1e{j}") for j in range(-5, 23)])  # least double >= 10**j; exact j>=0
@@ -116,27 +117,41 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-def _path_uniforms(seed: int, index: int, count: int, gen: Generator | None = None) -> np.ndarray:
-    """The first count uniforms of the Philox stream keyed by (seed, index), reusing gen if given."""
-    key = np.array([seed, index], dtype=np.uint64)
-    if gen is None:
-        gen = Generator(Philox(key=key))
-    else:  # the state of a fresh Philox(key=key), without its set-up
-        gen.bit_generator.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
-                                   "state": {"counter": np.zeros(4, np.uint64), "key": key},
-                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return np.maximum(gen.random(count), _MIN_U)
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, for uint64 arrays x, from 32-bit limbs."""
+    xl, xh, ml, mh = x & 0xFFFFFFFF, x >> 32, m & 0xFFFFFFFF, m >> 32
+    t = (xl * ml >> 32) + xl * mh
+    u = (t & 0xFFFFFFFF) + xh * ml
+    return xh * mh + (t >> 32) + (u >> 32), x * m
+
+
+def _path_uniforms(seed: int, index, count: int) -> np.ndarray:
+    """The first count uniforms of the streams keyed by (seed, i), a row per path index i.
+
+    Bit for bit Generator(Philox(key=[seed, i])).random(count), floored at _MIN_U: numpy's
+    Philox4x64-10 (Salmon et al., SC'11) at counters 1, 2, ..., four words raw each, and
+    (raw >> 11) * 2^-53. Words broadcast over (path, counter), so the first round's products
+    take the shared counters alone; uint64 array arithmetic wraps mod 2^64 silently.
+    """
+    key = np.asarray(index, dtype=np.uint64)[..., None]
+    c0, c1 = np.arange(1, -(-count // 4) + 1, dtype=np.uint64), np.zeros(1, np.uint64)
+    c2 = c3 = c1
+    for r in range(10):  # the key is bumped by Weyl steps before every round but the first
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
+        c0, c1 = hi1 ^ c1 ^ (int(seed) + r * 0x9E3779B97F4A7C15) % 2 ** 64, lo1
+        c2, c3 = hi0 ^ c3 ^ (key + r * 0xBB67AE8584CAA73B % 2 ** 64), lo0
+    raw = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    return np.maximum((raw.reshape(*key.shape[:-1], -1)[..., :count] >> 11) * 2.0 ** -53, _MIN_U)
 
 
 def _uniform_blocks(seed: int, n_paths: int, count: int):
     """Yield (start, stop, block): the first count uniforms of paths start..stop-1, by row."""
-    gen = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)
-        block = np.empty((stop - start, count))
-        for i in range(start, stop):
-            block[i - start] = _path_uniforms(seed, i, count, gen)
-        yield start, stop, block
+        yield start, stop, _path_uniforms(seed, np.arange(start, stop), count)
 
 
 def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int) -> PathEnsemble:
@@ -179,6 +194,8 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
         rows = np.flatnonzero(labels == ci)
         if rows.size == 0:
             continue
+        if rows.size == n_paths:  # a basic slice: no gather or scatter per step
+            rows = slice(None)
         # W_0 is an alpha atom a_i, and F_0(a_i) = source.atoms[i] to the solver's residual
         paths[rows, 0] = csol.source.atoms[np.searchsorted(csol.alpha.atoms, paths[rows, 0])]
         for k, t in enumerate(grid[1:], start=1):

@@ -1,15 +1,21 @@
 """Golden outputs of the benchmark pairs, written to and compared between .npz files.
 
     PYTHONPATH=src python tests/_golden.py write out.npz
-    PYTHONPATH=src python tests/_golden.py compare a.npz b.npz
+    PYTHONPATH=src python tests/_golden.py compare a.npz b.npz [bound]
 
 ``write`` solves the benchmark's lognormal pair at 201 and at 1001 atoms and
 stores, per grid size: the solved alpha and thresholds, the value report,
 the marginal flows at t in FLOW_TIMES, the volatilities at VOL_POINTS, and
 the weighted and SDE paths (PATHS paths x STEPS steps, seed SEED).
 ``compare`` prints, per array, the largest relative difference
-|a - b| / max(|a|, |b|), with 0 where both are 0. Not a test module: pytest
-does not collect it.
+|a - b| / max(|a|, |b|), with 0 where both are 0. Given a bound, it then
+exits with status 1, naming on stderr each array whose difference is above
+the bound (or not a number) and each array missing from one file or shaped
+differently; otherwise it exits 0. A golden check is one command:
+``compare parent.npz change.npz 0`` asks for equal values, and
+``compare parent.npz change.npz 1e-12`` for the 1e-12 that merged or
+deleted internals may move them by. Not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -56,27 +62,38 @@ def goldens(grid_size: int) -> dict[str, np.ndarray]:
 
 
 def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| / max(|a|, |b|), 0 where both are 0, and NaN where either is NaN."""
     scale = np.maximum(np.abs(a), np.abs(b))
-    diff = np.abs(a - b)
-    return float(np.max(np.where(scale > 0, diff / np.where(scale > 0, scale, 1.0), 0.0),
-                        initial=0.0))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
 
 
-def compare(a, b) -> None:
+def compare(a, b, bound: float | None = None) -> int:
+    """Print each array's relative difference; with a bound, 1 if any array fails it, else 0."""
+    failed = []
     for key in sorted(set(a.files) | set(b.files)):
         if key not in a.files or key not in b.files:
             print(f"{key:32s} only in {'the first' if key in a.files else 'the second'}")
+            failed.append(key)
         elif a[key].shape != b[key].shape:
             print(f"{key:32s} shapes differ: {a[key].shape} vs {b[key].shape}")
+            failed.append(key)
         else:
-            print(f"{key:32s} {relative_difference(a[key], b[key]):.3e}")
+            diff = relative_difference(a[key], b[key])
+            print(f"{key:32s} {diff:.3e}")
+            if bound is not None and not diff <= bound:  # NaN fails too
+                failed.append(key)
+    if bound is None or not failed:
+        return 0
+    print(f"{len(failed)} arrays fail the bound {bound:g}: {', '.join(failed)}", file=sys.stderr)
+    return 1
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "write":
         np.savez(argv[1], **{k: v for n in GRID_SIZES for k, v in goldens(n).items()})
-    elif len(argv) == 3 and argv[0] == "compare":
-        compare(np.load(argv[1]), np.load(argv[2]))
+    elif len(argv) in (3, 4) and argv[0] == "compare":
+        return compare(np.load(argv[1]), np.load(argv[2]),
+                       float(argv[3]) if len(argv) == 4 else None)
     else:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

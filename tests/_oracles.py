@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.random import Generator, Philox
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
@@ -179,3 +180,20 @@ def gauss_sum_fsum(x: float, centers, weights, s: float, density: bool = False) 
                   else 0.5 * math.erfc(-z / math.sqrt(2.0)))
         terms.append(w * kernel)
     return math.fsum(terms)
+
+
+def philox_uniforms(seed: int, index: int, count: int) -> np.ndarray:
+    """The first count uniforms of numpy's Philox stream keyed by [seed, index], floored at
+    2^-53: one Generator per path, as the path engines' streams are defined."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.maximum(Generator(Philox(key=key)).random(count), 2.0 ** -53)
+
+
+def philox_word_uniforms(words) -> np.ndarray:
+    """numpy's uniforms of four given raw 64-bit words, floored at 2^-53: a Philox whose
+    four-word output buffer holds them is read by Generator.random."""
+    bit_generator = Philox()
+    state = bit_generator.state
+    state["buffer"], state["buffer_pos"] = np.array(words, dtype=np.uint64), 0
+    bit_generator.state = state
+    return np.maximum(Generator(bit_generator).random(len(words)), 2.0 ** -53)

@@ -71,3 +71,16 @@ def test_sde_component_index_out_of_range_is_an_input_error(tmp_path, capsys, in
     assert cli.run(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: component_index") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_seed_outside_uint64_is_an_input_error(tmp_path, capsys, seed, where):
+    simulation = {"engines": ["weighted", "sde"], "n_steps": 5, "n_paths": 10}
+    config = write_config(tmp_path, simulation={**simulation, "seed": seed} if where == "config"
+                          else simulation)
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.run(argv + (["--seed", str(seed)] if where == "option" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: seed") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import chebval
 from scipy.special import ndtr
 
 import gbass as g
@@ -532,6 +533,25 @@ def rows_counter(monkeypatch):
 def bench(request):
     """The benchmark's lognormal pair at 201 and at 1001 atoms."""
     return request.getfixturevalue(f"bench_{request.param}")
+
+
+class TestClenshaw:
+    """gaussian._clenshaw, the one evaluator of its Chebyshev series, is numpy's chebval."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 17, 45, 250, 400])
+    @pytest.mark.parametrize("n_points", [1, 63, 20000])
+    def test_equals_chebval_bit_for_bit(self, size, n_points):
+        rng = np.random.default_rng(1000 * size + n_points)
+        c = rng.standard_normal(size) * 0.97 ** np.arange(size)
+        ends = np.array([-1.0, 0.0, 1.0])
+        x = np.concatenate([ends, rng.uniform(-1.0, 1.0, max(n_points - 3, 0))])
+        for xs in ([ends[[i]] for i in range(3)] if n_points == 1 else [x]):
+            got, want = gaussian._clenshaw(xs, c), chebval(xs, c)
+            assert got.shape == want.shape == xs.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_gaussian_calls_no_other_evaluator(self):
+        assert not hasattr(gaussian, "chebval")
 
 
 class TestChebyshevProxy:

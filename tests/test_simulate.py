@@ -4,9 +4,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gbass as g
 from gbass import simulate
+from _oracles import philox_uniforms, philox_word_uniforms
 
 N_PATHS = 20000
 N_STEPS = 10
@@ -97,17 +99,73 @@ def test_sde_without_components_holds_the_initial_draw():
     mu = g.make_grid_measure([0.5, 1.5], [0.5, 0.5])
     gsol = g.solve_geometric(mu, mu)
     assert not gsol.arithmetic.component_solutions
-    ens = g.simulate_geometric_sde(gsol, 0, 5, 50, SEED)
-    assert np.all(ens.paths == ens.paths[:, :1])
-    first = np.array([simulate._path_uniforms(SEED, i, 1)[0] for i in range(50)])
-    assert np.array_equal(ens.paths[:, 0], g.quantile(mu, first))
+    for seed in (SEED, 2 ** 64 - 1):  # the largest seed runs
+        ens = g.simulate_geometric_sde(gsol, 0, 5, 50, seed)
+        assert np.all(ens.paths == ens.paths[:, :1])
+        first = np.array([philox_uniforms(seed, i, 1)[0] for i in range(50)])
+        assert np.array_equal(ens.paths[:, 0], g.quantile(mu, first))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("engine", ["arithmetic", "weighted", "sde"])
+def test_seed_outside_uint64_raises(bench_201, engine, seed):
+    with pytest.raises(ValueError, match="seed"):
+        if engine == "arithmetic":
+            g.simulate_arithmetic(bench_201.arithmetic, 3, 10, seed)
+        else:
+            run_engine(engine, bench_201, 3, 10, seed)
 
 
 def test_reused_stream_matches_a_fresh_one_per_path(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     rows = np.concatenate([block for _, _, block in simulate._uniform_blocks(SEED, 30, 12)])
-    fresh = np.array([simulate._path_uniforms(SEED, i, 12) for i in range(30)])
+    fresh = np.array([philox_uniforms(SEED, i, 12) for i in range(30)])
     assert np.array_equal(rows, fresh)
+
+
+# the key's index word crosses 2^32 and wraps past 2^64 - 1 under the key bumps
+FAR_INDICES = st.lists(st.one_of(st.integers(2 ** 32 - 3, 2 ** 32 + 2),
+                                 st.integers(2 ** 64 - 4, 2 ** 64 - 1),
+                                 st.integers(0, 2 ** 64 - 1)), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)),
+       st.integers(1, 20), st.one_of(st.integers(1, 9), st.just(102)), FAR_INDICES)
+@example(0, 15, 102, [2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+@example(2 ** 64 - 1, 8, 1, [0, 2 ** 64 - 1])
+def test_block_streams_match_one_generator_per_path(seed, n_paths, count, far):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK", 7)
+        blocks = list(simulate._uniform_blocks(seed, n_paths, count))
+    assert [(start, stop) for start, stop, _ in blocks] == [
+        (i, min(i + 7, n_paths)) for i in range(0, n_paths, 7)]
+    rows = np.concatenate([block for _, _, block in blocks])
+    assert np.array_equal(rows, [philox_uniforms(seed, i, count) for i in range(n_paths)])
+    got = simulate._path_uniforms(seed, np.array(far, dtype=np.uint64), count)
+    assert np.array_equal(got, [philox_uniforms(seed, i, count) for i in far])
+
+
+def test_raw_words_below_2_11_floor_at_2_pow_minus_53(monkeypatch):
+    # with every 64 x 64-bit product stubbed to zero, a counter's raw words are the
+    # last round's key words: seed + 9 W0, 0, index + 9 W1, 0 (mod 2^64)
+    monkeypatch.setattr(simulate, "_mulhilo", lambda m, x: (np.zeros_like(x), np.zeros_like(x)))
+    words = [2 ** 11 - 1, 0, 3 * 2 ** 11, 0]
+    seed = (words[0] - 9 * 0x9E3779B97F4A7C15) % 2 ** 64
+    index = (words[2] - 9 * 0xBB67AE8584CAA73B) % 2 ** 64
+    got = simulate._path_uniforms(seed, np.array([index], dtype=np.uint64), 6)
+    want = philox_word_uniforms(words)
+    assert want.tolist() == [2.0 ** -53, 2.0 ** -53, 3 * 2.0 ** -53, 2.0 ** -53]
+    assert np.array_equal(got, [np.concatenate([want, want[:2]])])
+
+
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_paths_match_one_generator_per_path(bench_201, ensembles, monkeypatch, engine):
+    monkeypatch.setattr(simulate, "_path_uniforms", lambda seed, index, count: np.array(
+        [philox_uniforms(seed, i, count) for i in index.tolist()]))
+    per_path = run_engine(engine, bench_201, N_STEPS, N_PATHS, SEED)
+    assert np.array_equal(ensembles[engine].paths, per_path.paths)
+    assert np.array_equal(ensembles[engine].weights, per_path.weights)
 
 
 @pytest.mark.parametrize("engine", ["weighted", "sde"])
