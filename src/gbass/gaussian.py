@@ -212,13 +212,14 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     """
     targets = np.asarray(targets, dtype=float)
     t = targets.ravel()
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).ravel()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).ravel()
+    # own copies of the brackets, which shrink in place
+    lo = np.full(targets.shape, lo, dtype=float).ravel()
+    hi = np.full(targets.shape, hi, dtype=float).ravel()
     if x0 is None:
         x = 0.5 * (lo + hi)
     else:
         x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
-    floor = 4.0 * float(np.spacing(np.max(np.abs(t), initial=0.0)))
+    floor = 4.0 * float(np.spacing(np.abs(t).max(initial=0.0)))
     close = max(tol, floor)
     out = np.empty_like(t)
     rows = np.arange(t.size)
@@ -226,19 +227,22 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     for step in range(1, max_iter + 1):
         err = f(x) - t
         out[rows] = x  # each row's last evaluated iterate
-        keep = ~(np.abs(err) <= close)
-        if not keep.any():
+        done = np.abs(err) <= close
+        closed = np.count_nonzero(done)
+        if closed == rows.size:
             return out.reshape(targets.shape)
-        rows, x, t, lo, hi, err = (a[keep] for a in (rows, x, t, lo, hi, err))
-        hi = np.where(err >= 0, x, hi)
-        lo = np.where(err <= 0, x, lo)
+        if closed:
+            keep = ~done
+            rows, x, t, lo, hi, err = (a[keep] for a in (rows, x, t, lo, hi, err))
+        np.putmask(hi, err >= 0.0, x)
+        np.putmask(lo, err <= 0.0, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             slope = fprime(x)
             cand = x - err / slope
             bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
             nxt = np.where(bad, 0.5 * (lo + hi), cand)
             stuck = (cand == x) | (nxt == x)
-        if stuck.any():
+        if np.count_nonzero(stuck):
             # a row that cannot move closes if one ulp of x explains its residual
             keep = ~(stuck & (np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x))))
             if not keep.any():
@@ -560,10 +564,12 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     Before that solve, the roots of one Chebyshev proxy of fn * gamma_s over
     the bracket replace x0 (see _proxy_seed); the proxy only seeds the
     solve, and it is skipped when its fit would cost more than a quarter of
-    the targets, as for a single target.
+    the targets, as for a single target. No targets give an empty result.
     """
     y = np.asarray(y, dtype=float)
-    y_min, y_max = np.min(y), np.max(y)
+    if y.size == 0:
+        return np.empty(y.shape)
+    y_min, y_max = y.min(), y.max()
     ends, root = _constant_beyond(fn), np.sqrt(s)
     if ends is not None and fn.lower < y_min and y_max < fn.upper:
         width = fn.upper - fn.lower

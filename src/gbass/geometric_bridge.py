@@ -161,22 +161,33 @@ def marginal_flow(gsol: GeometricSolution, t: float) -> GridMeasure:
     return make_grid_measure(atoms, weights)
 
 
-def sde_volatility(gsol: GeometricSolution, component_index: int, t: float,
-                   s: float) -> float:
-    """Lognormal volatility of the price dynamics on one component.
+def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
+    """Lognormal volatility of the price dynamics on one component, at price(s) s.
 
-    Inverts the smoothed generating function at m / s and returns
-    (s / m) times its slope there; nonnegative by monotonicity.
+    sigma(t, s) = (s / m) F'(x*) where F = fn * gamma_{1-t} and F(x*) = m / s:
+    nonnegative by monotonicity. s is a scalar (a float comes back) or an
+    array (an array of its shape comes back). Every price is checked first:
+    a price that is not a positive number or whose m / s lies outside the
+    open image of fn raises ValueError naming its (flat) index. All prices
+    are then solved by one heat_convolve_inverse, to 1e-12 on F, started at
+    fn's own inverse, the threshold where the step function passes m / s,
+    and their slopes are read by one heat_convolve_deriv.
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"time {t} must lie strictly inside (0, 1)")
-    if s <= 0:
-        raise ValueError(f"price must be positive, got {s}")
-    csol = component_solution(gsol, component_index)
-    target = gsol.m / s
-    if not csol.fn.lower < target < csol.fn.upper:
-        raise ValueError(
-            f"price {s} outside the open range of component {component_index}")
-    var = 1.0 - t
-    x_star = heat_convolve_inverse(csol.fn, var, np.array([target]), tol=1e-12)[0]
-    return float(s / gsol.m * csol.fn.heat_convolve_deriv(var, x_star))
+    fn = component_solution(gsol, component_index).fn
+    prices = np.asarray(s, dtype=float)
+    flat = prices.ravel()
+    with np.errstate(divide="ignore"):
+        target = gsol.m / flat
+    ok = (flat > 0.0) & (fn.lower < target) & (target < fn.upper)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        at = "" if prices.ndim == 0 else f" at index {i}"
+        why = ("must be a positive number" if not flat[i] > 0.0
+               else f"lies outside the open range of component {component_index}")
+        raise ValueError(f"price {flat[i]}{at} {why}")
+    x0 = fn.thresholds[np.searchsorted(fn.levels, target) - 1]
+    x_star = heat_convolve_inverse(fn, 1.0 - t, target, tol=1e-12, x0=x0)
+    vol = flat / gsol.m * fn.heat_convolve_deriv(1.0 - t, x_star)
+    return float(vol[0]) if prices.ndim == 0 else vol.reshape(prices.shape)

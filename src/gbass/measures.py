@@ -235,10 +235,24 @@ def _near(x: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _groups(labels: np.ndarray, k: int, atoms: np.ndarray, weights: np.ndarray) -> list:
-    """(atoms, weights) of each label 0..k."""
-    order = np.argsort(labels, kind="stable")
+    """(atoms, weights) of each label 0..k, each group sorted by atom."""
+    order = np.lexsort((atoms, labels))
     cuts = np.searchsorted(labels[order], np.arange(1, k + 1))
     return list(zip(np.split(atoms[order], cuts), np.split(weights[order], cuts)))
+
+
+def _restricted(atoms: np.ndarray, weights: np.ndarray) -> GridMeasure:
+    """The GridMeasure of a group of _groups: sorted, distinct atoms and positive weights.
+
+    Only renormalizes: make_grid_measure would return the same arrays after
+    its validation scans, sort and zero-weight filter.
+    """
+    if atoms.size == 0:
+        raise MeasureError("empty measure: no atoms given")
+    weights = weights / weights.sum()
+    atoms.setflags(write=False)
+    weights.setflags(write=False)
+    return GridMeasure(atoms, weights)
 
 
 def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecomposition:
@@ -313,10 +327,10 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     keep = (weights > 0) & (labels >= 0)
     parts0 = _groups(label0, k, nu0.atoms, nu0.weights)
     parts1 = _groups(labels[keep], k, np.concatenate([x, x])[keep], weights[keep])
-    components = [MeasureComponent(intervals[c], make_grid_measure(*parts0[c]),
-                                   make_grid_measure(*parts1[c]), float(mass[c]))
+    components = [MeasureComponent(intervals[c], _restricted(*parts0[c]),
+                                   _restricted(*parts1[c]), float(mass[c]))
                   for c in range(k)]
-    identity = make_grid_measure(*parts0[k]) if mass[k] > 0 else None
+    identity = _restricted(*parts0[k]) if mass[k] > 0 else None
     return ComponentDecomposition(float(mass[k]), identity, components)
 
 

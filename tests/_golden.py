@@ -1,27 +1,32 @@
 """Golden outputs of the benchmark pairs, written to and compared between .npz files.
 
     PYTHONPATH=src python tests/_golden.py write out.npz
-    PYTHONPATH=src python tests/_golden.py compare a.npz b.npz [bound]
+    PYTHONPATH=src python tests/_golden.py compare a.npz b.npz [BOUND [GLOB=BOUND ...]]
 
 ``write`` solves the benchmark's lognormal pair at 201 and at 1001 atoms and
 stores, per grid size: the solved alpha and thresholds, the value report,
 the marginal flows at t in FLOW_TIMES, the volatilities at VOL_POINTS, and
 the weighted and SDE paths (PATHS paths x STEPS steps, seed SEED).
 ``compare`` prints, per array, the largest relative difference
-|a - b| / max(|a|, |b|), with 0 where both are 0. Given a bound, it then
+|a - b| / max(|a|, |b|), with 0 where both are 0. Given a BOUND, it then
 exits with status 1, naming on stderr each array whose difference is above
-the bound (or not a number) and each array missing from one file or shaped
-differently; otherwise it exits 0. A golden check is one command:
-``compare parent.npz change.npz 0`` asks for equal values, and
-``compare parent.npz change.npz 1e-12`` for the 1e-12 that merged or
-deleted internals may move them by. Not a test module: pytest does not
-collect it.
+its bound (or not a number) and each array missing from one file or shaped
+differently; otherwise it exits 0. Each GLOB=BOUND that follows sets the
+bound of the arrays whose keys match GLOB (``fnmatch``; keys read
+``<grid size>/<name>``); the first matching GLOB wins, and BOUND holds for
+the rest. A golden check is one command: ``compare parent.npz change.npz 0``
+asks for equal values, ``compare parent.npz change.npz 1e-12`` for the
+1e-12 that merged or deleted internals may move them by, and
+``compare parent.npz change.npz 0 '*/vols=1e-11'`` for equal values except
+the volatilities, which may move by 1e-11. Not a test module: pytest does
+not collect it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +72,12 @@ def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
 
 
-def compare(a, b, bound: float | None = None) -> int:
-    """Print each array's relative difference; with a bound, 1 if any array fails it, else 0."""
+def compare(a, b, bound: float | None = None,
+            bounds: list[tuple[str, float]] | None = None) -> int:
+    """Print each array's relative difference; with a bound, 1 if any array fails its bound, else 0.
+
+    bounds holds (glob, bound) pairs: a key takes the bound of the first glob it matches.
+    """
     failed = []
     for key in sorted(set(a.files) | set(b.files)):
         if key not in a.files or key not in b.files:
@@ -79,21 +88,23 @@ def compare(a, b, bound: float | None = None) -> int:
             failed.append(key)
         else:
             diff = relative_difference(a[key], b[key])
+            limit = next((lim for glob, lim in bounds or () if fnmatchcase(key, glob)), bound)
             print(f"{key:32s} {diff:.3e}")
-            if bound is not None and not diff <= bound:  # NaN fails too
-                failed.append(key)
+            if limit is not None and not diff <= limit:  # NaN fails too
+                failed.append(f"{key} (bound {limit:g})")
     if bound is None or not failed:
         return 0
-    print(f"{len(failed)} arrays fail the bound {bound:g}: {', '.join(failed)}", file=sys.stderr)
+    print(f"{len(failed)} arrays fail their bounds: {', '.join(failed)}", file=sys.stderr)
     return 1
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "write":
         np.savez(argv[1], **{k: v for n in GRID_SIZES for k, v in goldens(n).items()})
-    elif len(argv) in (3, 4) and argv[0] == "compare":
+    elif len(argv) >= 3 and argv[0] == "compare" and all("=" in arg for arg in argv[4:]):
+        bounds = [(glob, float(limit)) for glob, limit in (arg.rsplit("=", 1) for arg in argv[4:])]
         return compare(np.load(argv[1]), np.load(argv[2]),
-                       float(argv[3]) if len(argv) == 4 else None)
+                       float(argv[3]) if len(argv) >= 4 else None, bounds)
     else:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

@@ -197,3 +197,64 @@ def philox_word_uniforms(words) -> np.ndarray:
     state["buffer"], state["buffer_pos"] = np.array(words, dtype=np.uint64), 0
     bit_generator.state = state
     return np.maximum(Generator(bit_generator).random(len(words)), 2.0 ** -53)
+
+
+class ReferenceStall(RuntimeError):
+    """invert_increasing_reference ran out of steps; fields as on gbass's InversionError."""
+
+    def __init__(self, message: str, residual: float, iterates: np.ndarray):
+        super().__init__(message)
+        self.residual = residual
+        self.iterates = iterates
+
+
+def invert_increasing_reference(f, fprime, targets, lo, hi, tol: float, max_iter: int = 200,
+                                x0=None):
+    """gbass.gaussian.invert_increasing as it stood before its loop was made lean.
+
+    The same guarded Newton steps, bisection fallback, closing rules and
+    stall test, written plainly: the open rows are compacted by six index
+    passes on every step and each bracket update makes a new array. The lean
+    loop must return the same bits and raise with the same residual and
+    iterates; ReferenceStall stands for its InversionError.
+    """
+    targets = np.asarray(targets, dtype=float)
+    t = targets.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).ravel()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).ravel()
+    if x0 is None:
+        x = 0.5 * (lo + hi)
+    else:
+        x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
+    floor = 4.0 * float(np.spacing(np.max(np.abs(t), initial=0.0)))
+    close = max(tol, floor)
+    out = np.empty_like(t)
+    rows = np.arange(t.size)
+    err, step = np.full(t.size, np.inf), 0
+    for step in range(1, max_iter + 1):
+        err = f(x) - t
+        out[rows] = x
+        keep = ~(np.abs(err) <= close)
+        if not keep.any():
+            return out.reshape(targets.shape)
+        rows, x, t, lo, hi, err = (a[keep] for a in (rows, x, t, lo, hi, err))
+        hi = np.where(err >= 0, x, hi)
+        lo = np.where(err <= 0, x, lo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = fprime(x)
+            cand = x - err / slope
+            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+            nxt = np.where(bad, 0.5 * (lo + hi), cand)
+            stuck = (cand == x) | (nxt == x)
+        if stuck.any():
+            keep = ~(stuck & (np.abs(err) <= floor + np.abs(slope) * np.spacing(np.abs(x))))
+            if not keep.any():
+                return out.reshape(targets.shape)
+            rows, x, t, lo, hi, err, nxt = (a[keep] for a in (rows, x, t, lo, hi, err, nxt))
+            if np.any(nxt == x):
+                break
+        x = nxt
+    worst = float(np.max(np.abs(err)))
+    raise ReferenceStall(
+        f"monotone inversion stalled after {step} steps: {rows.size} of {targets.size} "
+        f"rows open, worst residual {worst:.3e}", worst, out.reshape(targets.shape))

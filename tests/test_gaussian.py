@@ -15,7 +15,13 @@ from gbass.gaussian import (
     smoothed_sf,
 )
 
-from _oracles import central_difference, gauss_sum_fsum, normal_cdf_series
+from _oracles import (
+    ReferenceStall,
+    central_difference,
+    gauss_sum_fsum,
+    invert_increasing_reference,
+    normal_cdf_series,
+)
 
 
 class TestGaussPrimitives:
@@ -275,6 +281,10 @@ class TestHeatConvolveInverse:
         assert np.all(np.diff(x) > 0)
         assert np.max(np.abs(g.heat_convolve(fn, s, x) - targets)) <= 1e-12
 
+    def test_no_targets_give_an_empty_result(self):
+        out = heat_convolve_inverse(g.StepFn([0.0], [0.0, 1.0]), 0.5, np.array([]), tol=1e-12)
+        assert out.shape == (0,)
+
     def test_target_outside_image_rejected(self):
         step = g.StepFn([0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="bracket"):
@@ -391,6 +401,70 @@ class TestInvertIncreasing:
             invert_increasing(lambda x: x, lambda x: np.full_like(x, np.nan),
                               np.array([0.3]), -1.0, 1.0, tol=1e-12, max_iter=1,
                               x0=np.array([0.3 + 1e-6]))
+
+
+# (f, fprime) of increasing problems, by the way their rows end
+INVERSION_PROBLEMS = {
+    # smooth: every row closes on tol
+    "tanh": (lambda x: 0.1 * x + np.tanh(3.0 * (x - 0.2)),
+             lambda x: 0.1 + 3.0 / np.cosh(3.0 * (x - 0.2)) ** 2),
+    "cube": (cube, cube_prime),
+    # slope too large for tol and off by two: rows close on the float64 floor
+    "steep": (lambda x: 1e8 * (x - 1.0), lambda x: np.full_like(x, 0.5e8)),
+    # no slope information: every step bisects
+    "nan_slope": (lambda x: x ** 3 + x, lambda x: np.full_like(x, np.nan)),
+    # a jump at 0.25: targets inside it stall once the bracket is one ulp wide
+    "jump": (lambda x: (x > 0.25) + 1e-3 * x, lambda x: np.full_like(x, 1e-3)),
+}
+
+
+class TestInvertIncreasingAgainstReference:
+    """The lean loop against the loop it replaced (tests/_oracles.py), bit for bit."""
+
+    @staticmethod
+    def run(solve, f, fprime, args, kwargs):
+        calls = CountingFn(f)
+        try:
+            return calls.calls, solve(calls, fprime, *args, **kwargs), None
+        except (InversionError, ReferenceStall) as exc:
+            return calls.calls, None, exc
+
+    # few rows are drawn often, so rows close at different steps of small batches
+    @given(seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(sorted(INVERSION_PROBLEMS)),
+           n=st.one_of(st.integers(1, 8), st.integers(1, 200)), shared=st.booleans(),
+           warm=st.sampled_from(["none", "near", "far"]),
+           max_iter=st.sampled_from([1, 2, 3, 5, 200]), stuck=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_same_iterates_results_and_errors(self, seed, name, n, shared, warm, max_iter, stuck):
+        rng = np.random.default_rng(seed)
+        f, fprime = INVERSION_PROBLEMS[name]
+        roots = rng.uniform(-1.0, 1.5, n)
+        targets = f(roots)
+        if stuck and name == "jump":
+            # some rows ask for a level inside the jump, which no x attains
+            inside = rng.random(n) < 0.3
+            targets[inside] = 0.5
+            roots[inside] = 0.25
+        if shared:
+            lo, hi = -1.0 - rng.uniform(0.0, 2.0), 1.5 + rng.uniform(0.0, 2.0)
+        else:
+            lo, hi = roots - rng.uniform(0.0, 1.0, n), roots + rng.uniform(0.0, 1.0, n)
+        x0 = {"none": None, "near": roots + rng.normal(0.0, 1e-9, n),
+              "far": rng.uniform(-4.0, 4.0, n)}[warm]
+        if warm == "near" and n > 1:
+            x0[0] = roots[0]  # a start exactly at a root
+        args, kwargs = (targets, lo, hi), dict(tol=10.0 ** rng.uniform(-15, -8),
+                                               max_iter=max_iter, x0=x0)
+        new_calls, new, new_exc = self.run(invert_increasing, f, fprime, args, kwargs)
+        ref_calls, ref, ref_exc = self.run(invert_increasing_reference, f, fprime, args, kwargs)
+        assert [c.tobytes() for c in new_calls] == [c.tobytes() for c in ref_calls]
+        if ref_exc is None:
+            assert new_exc is None and new.tobytes() == ref.tobytes()
+        else:
+            assert isinstance(new_exc, InversionError), new_exc
+            assert str(new_exc) == str(ref_exc)
+            assert np.float64(new_exc.residual).tobytes() == np.float64(ref_exc.residual).tobytes()
+            assert new_exc.iterates.tobytes() == ref_exc.iterates.tobytes()
 
 
 def break_proxy(monkeypatch, proxy, s):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import gbass as g
+from gbass import gaussian
 
 SIGMA = math.sqrt(0.12)
 
@@ -27,6 +29,85 @@ def test_sde_volatility_matches_gbm(bench_201):
     vols = [g.sde_volatility(bench_201, 0, t, math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t))
             for t in times for z in scores]
     assert np.max(np.abs(np.array(vols) - SIGMA)) <= 1e-2
+
+
+
+def step_vol_closed_form(gsol, t, s):
+    """(vol, z) on a one-threshold fn: F = lower + jump Phi((x - c) / sqrt(1 - t)), F(x*) = m / s."""
+    fn = gsol.arithmetic.component_solutions[0].fn
+    z = ndtri((gsol.m / s - fn.lower) / fn.jumps[0])
+    slope = fn.jumps[0] * np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * (1.0 - t))
+    return s / gsol.m * slope, z
+
+
+@pytest.mark.parametrize("t", [0.05, 0.5, 0.95])
+def test_sde_volatility_step_closed_form(geometric_step_solution, t):
+    gsol = geometric_step_solution
+    fn = gsol.arithmetic.component_solutions[0].fn
+    assert fn.thresholds.size == 1
+    # the image (2/3, 2) of fn is m / s for s in (0.5, 1.5)
+    prices = np.linspace(0.52, 1.48, 25)
+    ref, z = step_vol_closed_form(gsol, t, prices)
+    # F(x*) meets m / s to 1e-12, which moves the slope by |z| 1e-12 / (jump phi(z))
+    # relative; where that exceeds 1e-12 the bound follows it
+    jump = fn.jumps[0]
+    bound = 1e-12 * np.maximum(1.0, np.abs(z) * np.sqrt(2.0 * np.pi) * np.exp(z * z / 2.0) / jump)
+    scalar = np.array([g.sde_volatility(gsol, 0, t, float(p)) for p in prices])
+    array = g.sde_volatility(gsol, 0, t, prices)
+    for vols in (scalar, array):
+        assert np.all(np.abs(vols / ref - 1.0) <= bound)
+    central = np.abs(z) <= 0.3
+    assert central.sum() >= 5 and np.all(np.abs(array[central] / ref[central] - 1.0) <= 1e-12)
+    assert np.all(np.abs(scalar / ref - 1.0) <= 1e-12)
+
+
+def test_sde_volatility_shapes(geometric_step_solution):
+    gsol = geometric_step_solution
+    vol = g.sde_volatility(gsol, 0, 0.5, 1.0)
+    assert type(vol) is float
+    assert vol == g.sde_volatility(gsol, 0, 0.5, np.float64(1.0))
+    grid = np.array([[0.6, 0.8, 1.0], [1.2, 1.3, 1.4]])
+    vols = g.sde_volatility(gsol, 0, 0.5, grid)
+    assert vols.shape == grid.shape
+    assert np.allclose(vols, step_vol_closed_form(gsol, 0.5, grid)[0], rtol=1e-11, atol=0.0)
+    assert g.sde_volatility(gsol, 0, 0.5, np.array([])).shape == (0,)
+
+
+def test_sde_volatility_array_matches_scalar_loop(bench_201):
+    for t in np.linspace(0.1, 0.9, 9):
+        prices = np.exp(SIGMA * math.sqrt(t) * np.linspace(-2.0, 2.0, 9) - 0.06 * t)
+        loop = np.array([g.sde_volatility(bench_201, 0, t, p) for p in prices.tolist()])
+        assert np.max(np.abs(g.sde_volatility(bench_201, 0, t, prices) / loop - 1.0)) <= 1e-11
+
+
+def test_sde_volatility_warm_start_saves_sweeps(bench_201, monkeypatch):
+    # one sweep brackets, each Newton step sweeps F and F', one more reads the
+    # slope: 9.0 per price from the step function's inverse, 11.1 from the
+    # bracket's midpoint
+    sweeps = []
+    sweep = gaussian._gauss_sweep
+    monkeypatch.setattr(gaussian, "_gauss_sweep", lambda x, *a: sweeps.append(x.size) or sweep(x, *a))
+    points = [(t, math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t))
+              for t in np.linspace(0.1, 0.9, 9) for z in np.linspace(-2.0, 2.0, 9)]
+    for t, price in points:
+        g.sde_volatility(bench_201, 0, t, price)
+    assert len(sweeps) <= 9.5 * len(points)
+    sweeps.clear()
+    g.sde_volatility(bench_201, 0, 0.5, np.array([p for _, p in points[36:45]]))
+    assert len(sweeps) <= 11  # one bracket, then F and F' for all nine prices at each step
+
+
+@pytest.mark.parametrize("bad, why", [(0.0, "positive"), (-1.0, "positive"),
+                                      (np.nan, "positive"), (0.4, "open range"),
+                                      (1.5, "open range"), (np.inf, "open range")])
+@pytest.mark.parametrize("index", [0, 3, 5])
+def test_sde_volatility_rejects_bad_price_by_index(geometric_step_solution, bad, why, index):
+    prices = np.linspace(0.6, 1.4, 6)
+    prices[index] = bad
+    with pytest.raises(ValueError, match=f"price {bad} at index {index} .*{why}"):
+        g.sde_volatility(geometric_step_solution, 0, 0.5, prices)
+    with pytest.raises(ValueError, match=why):
+        g.sde_volatility(geometric_step_solution, 0, 0.5, bad)
 
 
 def test_update_alpha_meets_default_tol(bench_201):
