@@ -3,6 +3,11 @@
 Configs are JSON; marginals may be inline atom lists, parametric families
 discretized on construction, or CSV samples. All outputs are deterministic
 given the config.
+
+Every command is a handler ``(config, base_dir, out, seed) -> (payload,
+exit_code)`` that writes its data files under ``out``; ``run`` writes the
+payload once as ``out/report.json`` after the command's name, and maps every
+error to an exit code.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +26,12 @@ from .duality_values import make_value_report
 from .geometric_bridge import GeometricSolution, marginal_flow, solve_geometric, to_arithmetic
 from .measures import (
     GridMeasure,
-    MeasureError,
     check_convex_order,
     irreducible_components,
     make_grid_measure,
-    reflect_measure,
-    wasserstein1,
 )
-from .simulate import _write_csv, ensemble_stats, export_paths_csv, simulate_geometric_sde, \
-    simulate_geometric_weighted
+from .simulate import (_write_csv, ensemble_stats, export_paths_csv, simulate_geometric_sde,
+                       simulate_geometric_weighted)
 
 
 class ConfigError(ValueError):
@@ -75,7 +78,10 @@ def load_config(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    return config
 
 
 def build_marginals(config: dict, base_dir: Path) -> tuple[GridMeasure, GridMeasure]:
@@ -135,74 +141,51 @@ def _solve_from_config(config: dict, base_dir: Path) -> GeometricSolution:
     return solve_geometric(mu0, mu1, params)
 
 
-def _report_from_config(gsol: GeometricSolution, config: dict) -> dict:
+def _solve_and_values(config: dict, base_dir: Path) -> tuple[GeometricSolution, dict]:
+    """Solve the configured pair; return it with the report's "values" entry."""
+    gsol = _solve_from_config(config, base_dir)
     sigma_bar = float(config.get("sigma_bar", 1.0))
     Sigma_bar = float(config.get("Sigma_bar", 1.0))
-    return make_value_report(gsol, sigma_bar, Sigma_bar).to_dict()
+    return gsol, {"values": make_value_report(gsol, sigma_bar, Sigma_bar).to_dict()}
 
 
-def _cmd_check(config: dict, base_dir: Path, out: Path) -> int:
+def _cmd_check(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
     mu0, mu1 = build_marginals(config, base_dir)
     report = check_convex_order(mu0, mu1)
-    payload = {
-        "command": "check",
-        "convex_order": {
-            "in_convex_order": report.in_convex_order,
-            "max_violation": report.max_violation,
-            "equal_means": report.equal_means,
-            "mean": report.mean,
-        },
+    payload = {"convex_order": asdict(report)}
+    if not report.in_convex_order:
+        print("convex order violated", file=sys.stderr)
+        return payload, 2
+    decomp = irreducible_components(mu0, mu1)
+    payload["decomposition"] = {
+        "identity_set_mass": decomp.identity_set_mass,
+        "components": [{"interval": list(c.interval), "mass": c.mass}
+                       for c in decomp.components],
     }
-    if report.in_convex_order:
-        decomp = irreducible_components(mu0, mu1)
-        payload["decomposition"] = {
-            "identity_set_mass": decomp.identity_set_mass,
-            "components": [{"interval": list(c.interval), "mass": c.mass}
-                           for c in decomp.components],
-        }
-        _write_json(out / "report.json", payload)
-        return 0
-    _write_json(out / "report.json", payload)
-    print("convex order violated", file=sys.stderr)
-    return 2
+    return payload, 0
 
 
-def _cmd_transform(config: dict, base_dir: Path, out: Path) -> int:
+def _cmd_transform(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
     mu0, mu1 = build_marginals(config, base_dir)
     nu0, nu1, m = to_arithmetic(mu0, mu1)
     _write_json(out / "nu0.json", nu0.to_dict())
     _write_json(out / "nu1.json", nu1.to_dict())
-    _write_json(out / "report.json", {
-        "command": "transform",
-        "m": m,
-        "files": ["nu0.json", "nu1.json"],
-    })
-    return 0
+    return {"m": m, "files": ["nu0.json", "nu1.json"]}, 0
 
 
-def _cmd_solve(config: dict, base_dir: Path, out: Path) -> int:
-    gsol = _solve_from_config(config, base_dir)
+def _cmd_solve(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
+    gsol, payload = _solve_and_values(config, base_dir)
     _write_json(out / "solution.json", _solution_payload(gsol))
-    payload = {
-        "command": "solve",
-        "values": _report_from_config(gsol, config),
-        "residual_source": gsol.arithmetic.residual_source,
-        "residual_target": gsol.arithmetic.residual_target,
-    }
-    _write_json(out / "report.json", payload)
-    return 0
+    payload["residual_source"] = gsol.arithmetic.residual_source
+    payload["residual_target"] = gsol.arithmetic.residual_target
+    return payload, 0
 
 
-def _cmd_value(config: dict, base_dir: Path, out: Path) -> int:
-    gsol = _solve_from_config(config, base_dir)
-    _write_json(out / "report.json", {
-        "command": "value",
-        "values": _report_from_config(gsol, config),
-    })
-    return 0
+def _cmd_value(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
+    return _solve_and_values(config, base_dir)[1], 0
 
 
-def _cmd_flow(config: dict, base_dir: Path, out: Path) -> int:
+def _cmd_flow(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
     times = config.get("flow_times", [0.0, 0.5, 1.0])
     for t in times:
         if not 0.0 <= float(t) <= 1.0:
@@ -217,36 +200,32 @@ def _cmd_flow(config: dict, base_dir: Path, out: Path) -> int:
         _write_csv(out / name, "atom,weight", mu_t.atoms[:, None], mu_t.weights[:, None])
         files.append(name)
         means[f"{float(t):g}"] = mu_t.mean
-    _write_json(out / "report.json",
-                {"command": "flow", "files": files, "means": means})
-    return 0
+    return {"files": files, "means": means}, 0
 
 
-def _cmd_simulate(config: dict, base_dir: Path, out: Path, seed_override=None) -> int:
+def _cmd_simulate(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
     gsol = _solve_from_config(config, base_dir)
     sim = config.get("simulation", {})
     engines = sim.get("engines", ["weighted"])
     n_steps = int(sim.get("n_steps", 200))
     n_paths = int(sim.get("n_paths", 10000))
-    seed = int(seed_override if seed_override is not None else sim.get("seed", 0))
-    payload: dict = {"command": "simulate", "seed": seed, "files": [], "stats": {}}
+    seed = int(seed if seed is not None else sim.get("seed", 0))
+    payload: dict = {"seed": seed, "files": [], "stats": {}}
     refs = (gsol.mu0, gsol.mu1)
     out.mkdir(parents=True, exist_ok=True)
     for engine in engines:
         if engine == "weighted":
             ens = simulate_geometric_weighted(gsol, n_steps, n_paths, seed)
-            name = "paths_weighted.csv"
         elif engine == "sde":
             idx = int(sim.get("component_index", 0))
             ens = simulate_geometric_sde(gsol, idx, n_steps, n_paths, seed)
-            name = "paths_sde.csv"
         else:
             raise ConfigError(f"unknown engine {engine!r}; use 'weighted' or 'sde'")
+        name = f"paths_{engine}.csv"
         export_paths_csv(ens, out / name)
         payload["files"].append(name)
         payload["stats"][engine] = ensemble_stats(ens, refs).to_dict()
-    _write_json(out / "report.json", payload)
-    return 0
+    return payload, 0
 
 
 _COMMANDS = {
@@ -273,15 +252,15 @@ def run(argv) -> int:
         config_path = Path(args.config)
         config = load_config(config_path)
         out = Path(args.out) if args.out else Path(config.get("output_dir", "."))
-        handler = _COMMANDS[args.command]
-        if args.command == "simulate":
-            return handler(config, config_path.parent, out, args.seed)
-        return handler(config, config_path.parent, out)
+        payload, code = _COMMANDS[args.command](config, config_path.parent, out, args.seed)
+        _write_json(out / "report.json", {"command": args.command, **payload})
+        return code
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, MeasureError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers ConfigError, MeasureError and malformed JSON; a config
+        # value of the wrong type surfaces as TypeError or AttributeError
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:

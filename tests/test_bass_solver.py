@@ -6,7 +6,7 @@ import gbass as g
 from gbass import bass_solver
 from gbass.bass_solver import ConvergenceError, _terminal_level_masses
 from gbass.measures import MeasureError
-from conftest import lognormal_measure
+from conftest import dilate, lognormal_measure, random_positive_measure
 
 
 class TestMonotoneRearrangement:
@@ -153,6 +153,17 @@ class TestSolveComponent:
             g.solve_component(nu0, nu1, params)
         assert err.value.iterations == 3
         assert np.isfinite(err.value.residual_source)
+
+    @pytest.mark.parametrize("seed", [12, 20, 29])
+    def test_one_atom_components_stop_modulo_translation(self, seed):
+        # each atom spread into two is a one-atom component whose pair is solved
+        # at every iterate, while alpha may keep drifting by a common shift
+        rng = np.random.default_rng(seed)
+        mu0 = random_positive_measure(rng, 6)
+        mu1 = dilate(mu0, rng, 1e-4)
+        gsol = g.solve_geometric(mu0, mu1, g.SolverParams(max_iterations=100))
+        iterations = [c.iterations for c in gsol.arithmetic.component_solutions]
+        assert len(iterations) == mu0.n and max(iterations) <= 2
 
 
 class TestSolveDecomposed:

@@ -84,3 +84,50 @@ def test_seed_outside_uint64_is_an_input_error(tmp_path, capsys, seed, where):
     err = capsys.readouterr().err
     assert err.startswith("invalid input: seed") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+REPORT_KEYS = {
+    "check": ["command", "convex_order", "decomposition"],
+    "transform": ["command", "m", "files"],
+    "solve": ["command", "values", "residual_source", "residual_target"],
+    "value": ["command", "values"],
+    "flow": ["command", "files", "means"],
+    "simulate": ["command", "seed", "files", "stats"],
+}
+
+
+def test_every_command_on_the_step_pair(tmp_path):
+    config = write_config(tmp_path, simulation={
+        "engines": ["weighted", "sde"], "n_steps": 5, "n_paths": 20, "seed": 1})
+    reports = {}
+    for command, keys in REPORT_KEYS.items():
+        out = tmp_path / command
+        assert cli.run([command, "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == keys and report["command"] == command
+        for name in report.get("files", []):
+            assert (out / name).is_file()
+        reports[command] = report
+    assert reports["value"]["values"] == reports["solve"]["values"]
+
+
+@pytest.mark.parametrize("command, config, out", [
+    ("flow", {"flow_times": 5}, True),
+    ("simulate", {"simulation": {"n_paths": None}}, True),
+    ("simulate", {"simulation": 5}, True),
+    ("value", {"sigma_bar": [1]}, True),
+    ("solve", {"solver": {"max_iterations": "x"}}, True),
+    ("check", [1, 2], True),
+    ("check", [1, 2], False),
+], ids=["flow_times", "n_paths", "simulation", "sigma_bar", "max_iterations", "list", "list-no-out"])
+def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, out):
+    if isinstance(config, dict):
+        path = write_config(tmp_path, **config)
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    assert cli.run(argv + (["--out", str(tmp_path / "out")] if out else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert "Traceback" not in err
