@@ -80,10 +80,6 @@ class BassSolution:
     component_solutions: list[BassComponentSolution] = field(default_factory=list)
 
     @property
-    def identity_restriction(self) -> GridMeasure | None:
-        return self.decomposition.identity_restriction
-
-    @property
     def residual_source(self) -> float:
         return sum(c.mass * s.residual_source for c, s in
                    zip(self.decomposition.components, self.component_solutions))
@@ -181,7 +177,7 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
     w = nu0.weights
     alpha = make_grid_measure(nu0.atoms - nu0.mean, w)
     thr_warm = None
-    history = [alpha]
+    prev = None  # the increment before d, while the next jump waits for d
     iterations = 0
     converged = False
     while iterations < params.max_iterations:
@@ -195,20 +191,18 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
         if step < params.step_tolerance:
             converged = True
             break
-        history.append(alpha)
-        if len(history) == 3:
-            # the map contracts linearly; jump along the dominant mode by
-            # summing the geometric tail of the last increment
-            x0, x1, x2 = history
-            d0 = x1.atoms - x0.atoms
-            d1 = x2.atoms - x1.atoms
-            denom = float(d0 @ d0)
-            rho = float(d1 @ d0) / denom if denom > 0 else 0.0
-            if 1e-14 < abs(rho) < 0.9999:
-                jumped = x2.atoms + d1 * (rho / (1.0 - rho))
-                if np.all(np.diff(jumped) > 0):
-                    alpha = make_grid_measure(jumped, w)
-            history = [alpha]
+        if prev is None:
+            prev = d
+            continue
+        # the map contracts linearly; jump along the dominant mode by summing
+        # the geometric tail of the last increment
+        denom = float(prev @ prev)
+        rho = float(d @ prev) / denom if denom > 0 else 0.0
+        if 1e-14 < abs(rho) < 0.9999:
+            jumped = alpha.atoms + d * (rho / (1.0 - rho))
+            if np.all(np.diff(jumped) > 0):
+                alpha = make_grid_measure(jumped, w)
+        prev = None
 
     fn = monotone_rearrangement(nu1, alpha)
     pushed_target = make_grid_measure(nu1.atoms, _terminal_level_masses(fn, alpha))

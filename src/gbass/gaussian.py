@@ -406,13 +406,22 @@ class MonotoneFn:
 
     lower: float = -np.inf
     upper: float = np.inf
+    ends: tuple[float, float] | None = None  # fn is lower below ends[0], upper above ends[1]
 
     def __call__(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def heat_convolve(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
-        if s < 0:
-            raise ValueError(f"variance must be nonnegative, got {s}")
+        return self._hermite(s, x, n_nodes, deriv=False)
+
+    def heat_convolve_deriv(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
+        return self._hermite(s, x, n_nodes, deriv=True)
+
+    def _hermite(self, s: float, x, n_nodes: int, deriv: bool):
+        # for the slope, integration by parts against the Gaussian puts the
+        # derivative on the kernel, so step discontinuities are handled too
+        if s < 0 or deriv and s == 0:
+            raise ValueError(f"variance must be {'positive' if deriv else 'nonnegative'}, got {s}")
         x = np.asarray(x, dtype=float)
         if s == 0:
             return self(x)
@@ -420,20 +429,7 @@ class MonotoneFn:
         vals = self(np.atleast_1d(x)[:, None] + np.sqrt(s) * nodes[None, :])
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("heat convolution diverged: non-finite integrand value")
-        out = vals @ weights
-        return float(out[0]) if x.ndim == 0 else out
-
-    def heat_convolve_deriv(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
-        # integration by parts against the Gaussian puts the derivative on the
-        # kernel, so step discontinuities are handled too
-        if s <= 0:
-            raise ValueError(f"variance must be positive, got {s}")
-        x = np.asarray(x, dtype=float)
-        nodes, weights = gauss_hermite(n_nodes)
-        vals = self(np.atleast_1d(x)[:, None] + np.sqrt(s) * nodes[None, :])
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError("heat convolution diverged: non-finite integrand value")
-        out = (vals * nodes[None, :]) @ weights / np.sqrt(s)
+        out = (vals * nodes[None, :]) @ weights / np.sqrt(s) if deriv else vals @ weights
         return float(out[0]) if x.ndim == 0 else out
 
 
@@ -458,6 +454,7 @@ class StepFn(MonotoneFn):
         self.jumps = np.diff(y)
         self.lower = float(y[0])
         self.upper = float(y[-1])
+        self.ends = (float(t[0]), float(t[-1])) if t.size else None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -508,7 +505,7 @@ class CallableFn(MonotoneFn):
         return float(vals) if vals.ndim == 0 else vals
 
 
-class TableFn(MonotoneFn):
+class TableFn(CallableFn):
     """Monotone linear interpolation of a table, constant beyond its ends."""
 
     def __init__(self, xs, ys):
@@ -518,15 +515,9 @@ class TableFn(MonotoneFn):
             raise ValueError("table abscissae must be strictly increasing")
         if np.any(np.diff(ys) < 0):
             raise ValueError("table values must be nondecreasing")
-        self.xs = xs
-        self.ys = ys
-        self.lower = float(ys[0])
-        self.upper = float(ys[-1])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.xs, self.ys)
-        return float(out) if out.ndim == 0 else out
+        super().__init__(lambda x: np.interp(x, xs, ys), ys[0], ys[-1])
+        self.xs, self.ys = xs, ys
+        self.ends = float(xs[0]), float(xs[-1])
 
 
 def heat_convolve(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
@@ -537,15 +528,6 @@ def heat_convolve(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
 def heat_convolve_deriv(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
     """Spatial derivative of the Gaussian smoothing; nonnegative for monotone fn."""
     return fn.heat_convolve_deriv(s, x, n_nodes)
-
-
-def _constant_beyond(fn: MonotoneFn) -> tuple[float, float] | None:
-    """(e0, e1) with fn equal to fn.lower below e0 and to fn.upper above e1, if known."""
-    if isinstance(fn, StepFn) and fn.thresholds.size:
-        return float(fn.thresholds[0]), float(fn.thresholds[-1])
-    if isinstance(fn, TableFn):
-        return float(fn.xs[0]), float(fn.xs[-1])
-    return None
 
 
 def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> np.ndarray:
@@ -570,7 +552,7 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     if y.size == 0:
         return np.empty(y.shape)
     y_min, y_max = y.min(), y.max()
-    ends, root = _constant_beyond(fn), np.sqrt(s)
+    ends, root = fn.ends, np.sqrt(s)
     if ends is not None and fn.lower < y_min and y_max < fn.upper:
         width = fn.upper - fn.lower
         lo = ends[0] + root * ndtri((y_min - fn.lower) / width)

@@ -53,10 +53,6 @@ class GridMeasure:
     def positive_support(self) -> bool:
         return bool(self.atoms[0] > 0.0)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.atoms[0]), float(self.atoms[-1])
-
     def to_dict(self) -> dict:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 
@@ -89,13 +85,11 @@ def make_grid_measure(atoms, weights) -> GridMeasure:
     if total <= 0:
         raise MeasureError("weights sum to zero")
 
-    merged_a, merged_w = a, w  # strictly increasing atoms, as restricted measures have
-    if np.any(np.diff(a) <= 0):  # sort, and merge exact duplicates by summing weight
-        order = np.argsort(a, kind="stable")
-        a, w = a[order], w[order]
-        keep = np.concatenate([[True], np.diff(a) > 0])
-        merged_a, merged_w = a[keep], np.bincount(np.cumsum(keep) - 1, w)
-
+    # sort, and merge exact duplicates by summing weight
+    order = np.argsort(a, kind="stable")
+    a, w = a[order], w[order]
+    keep = np.concatenate([[True], np.diff(a) > 0])
+    merged_a, merged_w = a[keep], np.bincount(np.cumsum(keep) - 1, w)
     pos = merged_w > 0
     merged_a, merged_w = merged_a[pos], merged_w[pos]
     if merged_a.size == 0:
@@ -157,7 +151,6 @@ def potential(mu: GridMeasure, z):
     """Integrated absolute deviation z -> int |x - z| mu(dx), evaluated exactly."""
     z = np.asarray(z, dtype=float)
     zz = np.atleast_1d(z)
-    out = np.empty_like(zz)
     # split sum with prefix moments: sum_{a<=z} w(z-a) + sum_{a>z} w(a-z)
     cw = np.concatenate([[0.0], np.cumsum(mu.weights)])
     cm = np.concatenate([[0.0], np.cumsum(mu.weights * mu.atoms)])
@@ -241,20 +234,6 @@ def _groups(labels: np.ndarray, k: int, atoms: np.ndarray, weights: np.ndarray) 
     return list(zip(np.split(atoms[order], cuts), np.split(weights[order], cuts)))
 
 
-def _restricted(atoms: np.ndarray, weights: np.ndarray) -> GridMeasure:
-    """The GridMeasure of a group of _groups: sorted, distinct atoms and positive weights.
-
-    Only renormalizes: make_grid_measure would return the same arrays after
-    its validation scans, sort and zero-weight filter.
-    """
-    if atoms.size == 0:
-        raise MeasureError("empty measure: no atoms given")
-    weights = weights / weights.sum()
-    atoms.setflags(write=False)
-    weights.setflags(write=False)
-    return GridMeasure(atoms, weights)
-
-
 def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecomposition:
     """Split a convex-ordered pair into irreducible intervals plus the static set.
 
@@ -327,10 +306,10 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     keep = (weights > 0) & (labels >= 0)
     parts0 = _groups(label0, k, nu0.atoms, nu0.weights)
     parts1 = _groups(labels[keep], k, np.concatenate([x, x])[keep], weights[keep])
-    components = [MeasureComponent(intervals[c], _restricted(*parts0[c]),
-                                   _restricted(*parts1[c]), float(mass[c]))
+    components = [MeasureComponent(intervals[c], make_grid_measure(*parts0[c]),
+                                   make_grid_measure(*parts1[c]), float(mass[c]))
                   for c in range(k)]
-    identity = _restricted(*parts0[k]) if mass[k] > 0 else None
+    identity = make_grid_measure(*parts0[k]) if mass[k] > 0 else None
     return ComponentDecomposition(float(mass[k]), identity, components)
 
 
