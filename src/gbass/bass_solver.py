@@ -56,7 +56,15 @@ class SolverParams:
 
     @staticmethod
     def from_dict(d: dict) -> "SolverParams":
-        """Read the known fields; other keys (such as a retired gh_nodes) are ignored."""
+        """Read the known fields; other keys (such as a retired gh_nodes) are ignored.
+
+        A known value that is not a number of its field's type (an int for
+        max_iterations) raises ValueError naming the key.
+        """
+        for f in fields(SolverParams):
+            value, kind = d.get(f.name, f.default), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValueError(f"solver key {f.name!r} must be {kind.__name__}, got {value!r}")
         return SolverParams(**{f.name: d[f.name] for f in fields(SolverParams)
                                if f.name in d})
 

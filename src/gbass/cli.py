@@ -141,11 +141,19 @@ def _solve_from_config(config: dict, base_dir: Path) -> GeometricSolution:
     return solve_geometric(mu0, mu1, params)
 
 
+def _read(block: dict, key: str, default, kind):
+    """kind(block[key]), or kind(default) without the key; ConfigError naming key if it fails."""
+    try:
+        return kind(block.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
 def _solve_and_values(config: dict, base_dir: Path) -> tuple[GeometricSolution, dict]:
     """Solve the configured pair; return it with the report's "values" entry."""
+    sigma_bar = _read(config, "sigma_bar", 1.0, float)
+    Sigma_bar = _read(config, "Sigma_bar", 1.0, float)
     gsol = _solve_from_config(config, base_dir)
-    sigma_bar = float(config.get("sigma_bar", 1.0))
-    Sigma_bar = float(config.get("Sigma_bar", 1.0))
     return gsol, {"values": make_value_report(gsol, sigma_bar, Sigma_bar).to_dict()}
 
 
@@ -204,23 +212,26 @@ def _cmd_flow(config: dict, base_dir: Path, out: Path, seed: int | None) -> tupl
 
 
 def _cmd_simulate(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
-    gsol = _solve_from_config(config, base_dir)
     sim = config.get("simulation", {})
-    engines = sim.get("engines", ["weighted"])
-    n_steps = int(sim.get("n_steps", 200))
-    n_paths = int(sim.get("n_paths", 10000))
-    seed = int(seed if seed is not None else sim.get("seed", 0))
+    if not isinstance(sim, dict):
+        raise ConfigError("config key 'simulation' must be a JSON object")
+    engines = _read(sim, "engines", ["weighted"], list)
+    for engine in engines:
+        if engine not in ("weighted", "sde"):
+            raise ConfigError(f"unknown engine {engine!r}; use 'weighted' or 'sde'")
+    n_steps = _read(sim, "n_steps", 200, int)
+    n_paths = _read(sim, "n_paths", 10000, int)
+    seed = int(seed) if seed is not None else _read(sim, "seed", 0, int)
+    idx = _read(sim, "component_index", 0, int) if "sde" in engines else 0
+    gsol = _solve_from_config(config, base_dir)
     payload: dict = {"seed": seed, "files": [], "stats": {}}
     refs = (gsol.mu0, gsol.mu1)
     out.mkdir(parents=True, exist_ok=True)
     for engine in engines:
         if engine == "weighted":
             ens = simulate_geometric_weighted(gsol, n_steps, n_paths, seed)
-        elif engine == "sde":
-            idx = int(sim.get("component_index", 0))
-            ens = simulate_geometric_sde(gsol, idx, n_steps, n_paths, seed)
         else:
-            raise ConfigError(f"unknown engine {engine!r}; use 'weighted' or 'sde'")
+            ens = simulate_geometric_sde(gsol, idx, n_steps, n_paths, seed)
         name = f"paths_{engine}.csv"
         export_paths_csv(ens, out / name)
         payload["files"].append(name)

@@ -281,3 +281,15 @@ class TestSolverParams:
         params = g.SolverParams.from_dict({"max_iterations": 7})
         assert params.max_iterations == 7
         assert params.step_tolerance == 1e-10
+
+    def test_int_tolerances_accepted(self):
+        params = g.SolverParams.from_dict({"fit_tolerance": 1, "max_iterations": 5})
+        assert params == g.SolverParams(fit_tolerance=1, max_iterations=5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iterations", "x"), ("max_iterations", 10.5), ("max_iterations", True),
+        ("step_tolerance", None), ("fit_tolerance", "1e-6"), ("fit_tolerance", [1e-6]),
+    ])
+    def test_wrong_type_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"solver key '{key}'"):
+            g.SolverParams.from_dict({"gh_nodes": "retired", key: value})

@@ -131,3 +131,25 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, o
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("solve", {"solver": {"max_iterations": "x"}}, "max_iterations"),
+    ("value", {"sigma_bar": [1]}, "sigma_bar"),
+    ("value", {"Sigma_bar": "wide"}, "Sigma_bar"),
+    ("simulate", {"simulation": {"n_paths": None}}, "n_paths"),
+    ("simulate", {"simulation": {"engines": ["sde"], "component_index": "first"}},
+     "component_index"),
+    ("simulate", {"simulation": {"engines": ["bogus"]}}, "bogus"),
+    ("simulate", {"simulation": 5}, "simulation"),
+], ids=["max_iterations", "sigma_bar", "Sigma_bar", "n_paths", "component_index", "engine",
+        "simulation"])
+def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                   command, config, key):
+    solves = []
+    monkeypatch.setattr(cli, "solve_geometric", lambda *args: solves.append(args))
+    path = write_config(tmp_path, **config)
+    assert cli.run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and f"'{key}'" in err
+    assert solves == []
