@@ -105,7 +105,9 @@ def monotone_rearrangement(nu1: GridMeasure, alpha: GridMeasure,
     Thresholds are the mixture quantiles at nu1's cumulative weights; upper
     levels are located through the survival function so tail thresholds stay
     accurate. Warm thresholds from a previous nearby alpha cut the root
-    finding to a couple of Newton steps.
+    finding to a couple of Newton steps where mixture_quantiles skips its
+    Chebyshev proxy; where it runs they seed only the proxy's solve, and its
+    roots start the exact one.
     """
     if nu1.n == 1:
         return StepFn([], nu1.atoms)
@@ -185,7 +187,7 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
     w = nu0.weights
     alpha = make_grid_measure(nu0.atoms - nu0.mean, w)
     thr_warm = None
-    prev = None  # the increment before d, while the next jump waits for d
+    prev = None  # an increment waiting for the next one, which decides a jump
     iterations = 0
     converged = False
     while iterations < params.max_iterations:

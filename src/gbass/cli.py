@@ -221,7 +221,7 @@ def _cmd_simulate(config: dict, base_dir: Path, out: Path, seed: int | None) -> 
             raise ConfigError(f"unknown engine {engine!r}; use 'weighted' or 'sde'")
     n_steps = _read(sim, "n_steps", 200, int)
     n_paths = _read(sim, "n_paths", 10000, int)
-    seed = int(seed) if seed is not None else _read(sim, "seed", 0, int)
+    seed = seed if seed is not None else _read(sim, "seed", 0, int)
     idx = _read(sim, "component_index", 0, int) if "sde" in engines else 0
     gsol = _solve_from_config(config, base_dir)
     payload: dict = {"seed": seed, "files": [], "stats": {}}
