@@ -194,20 +194,20 @@ def _cmd_value(config: dict, base_dir: Path, out: Path, seed: int | None) -> tup
 
 
 def _cmd_flow(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
-    times = config.get("flow_times", [0.0, 0.5, 1.0])
+    times = _read(config, "flow_times", [0.0, 0.5, 1.0], lambda ts: [float(t) for t in ts])
     for t in times:
-        if not 0.0 <= float(t) <= 1.0:
+        if not 0.0 <= t <= 1.0:
             raise ConfigError(f"flow time {t} outside [0, 1]")
     gsol = _solve_from_config(config, base_dir)
     files = []
     means = {}
     for t in times:
-        mu_t = marginal_flow(gsol, float(t))
-        name = f"flow_t{float(t):g}.csv"
+        mu_t = marginal_flow(gsol, t)
+        name = f"flow_t{t:g}.csv"
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / name, "atom,weight", mu_t.atoms[:, None], mu_t.weights[:, None])
         files.append(name)
-        means[f"{float(t):g}"] = mu_t.mean
+        means[f"{t:g}"] = mu_t.mean
     return {"files": files, "means": means}, 0
 
 
@@ -262,7 +262,8 @@ def run(argv) -> int:
     try:
         config_path = Path(args.config)
         config = load_config(config_path)
-        out = Path(args.out) if args.out else Path(config.get("output_dir", "."))
+        out_dir = _read(config, "output_dir", ".", Path)
+        out = Path(args.out) if args.out else out_dir
         payload, code = _COMMANDS[args.command](config, config_path.parent, out, args.seed)
         _write_json(out / "report.json", {"command": args.command, **payload})
         return code

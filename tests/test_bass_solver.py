@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import gbass as g
@@ -164,6 +165,59 @@ class TestSolveComponent:
         gsol = g.solve_geometric(mu0, mu1, g.SolverParams(max_iterations=100))
         iterations = [c.iterations for c in gsol.arithmetic.component_solutions]
         assert len(iterations) == mu0.n and max(iterations) <= 2
+
+
+    def test_steps_record_each_outer_iteration(self, bench_201):
+        csol = bench_201.arithmetic.component_solutions[0]
+        assert len(csol.steps) == csol.iterations <= 7
+        assert csol.steps[-1] < g.SolverParams().step_tolerance
+
+    @pytest.mark.parametrize("spread, index, aitken_iterations",
+                             [(0.6, 6, 572), (0.9, 10, 225), (0.9, 21, 59)])
+    def test_hard_fuzz_pairs(self, spread, index, aitken_iterations):
+        # tail clusters of alpha far from the bulk, which drift at a constant
+        # rate under the plain map; the counts are those of the Aitken-jump
+        # loop that the Anderson accelerator replaced
+        mu0, mu1 = fuzz_pair(spread, index)
+        gsol = g.solve_geometric(mu0, mu1)
+        for csol in gsol.arithmetic.component_solutions:
+            assert csol.iterations <= aitken_iterations
+            assert csol.alpha.n == csol.source.n
+
+
+FUZZ_SPREADS = (1e-6, 1e-4, 0.02, 0.3, 0.6, 0.9)
+
+
+def fuzz_pair(spread: float, index: int):
+    """Pair `index` at `spread` of the dilation fuzz: one default_rng(11), 25
+    pairs per spread, drawn in the order of FUZZ_SPREADS."""
+    rng = np.random.default_rng(11)
+    for s in FUZZ_SPREADS:
+        for i in range(25):
+            mu0 = random_positive_measure(rng, 40)
+            mu1 = dilate(mu0, rng, s)
+            if (s, i) == (spread, index):
+                return mu0, mu1
+    raise ValueError(f"no fuzz pair {index} at spread {spread}")
+
+
+# derandomized, so the sample is the same on every run
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       log_spread=st.floats(float(np.log(1e-6)), float(np.log(0.9))))
+def test_dilation_pairs_solve_or_raise_measure_error(seed, log_spread):
+    # a MeasureError is a typed refusal (the mass-balance failures of the
+    # smallest spreads); a ConvergenceError or any other exception fails
+    rng = np.random.default_rng(seed)
+    mu0 = random_positive_measure(rng, 40)
+    mu1 = dilate(mu0, rng, float(np.exp(log_spread)))
+    params = g.SolverParams()
+    try:
+        gsol = g.solve_geometric(mu0, mu1, params)
+    except MeasureError:
+        return
+    for csol in gsol.arithmetic.component_solutions:
+        assert max(csol.residual_source, csol.residual_target) <= params.fit_tolerance
 
 
 class TestSolveDecomposed:

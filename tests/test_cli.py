@@ -142,8 +142,10 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, o
      "component_index"),
     ("simulate", {"simulation": {"engines": ["bogus"]}}, "bogus"),
     ("simulate", {"simulation": 5}, "simulation"),
+    ("flow", {"flow_times": 5}, "flow_times"),
+    ("solve", {"output_dir": 5}, "output_dir"),
 ], ids=["max_iterations", "sigma_bar", "Sigma_bar", "n_paths", "component_index", "engine",
-        "simulation"])
+        "simulation", "flow_times", "output_dir"])
 def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys,
                                                    command, config, key):
     solves = []
