@@ -175,15 +175,13 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
     the update shifted back by its mean displacement.
 
     The loop runs type-II Anderson acceleration of depth ANDERSON_DEPTH on
-    alpha's atoms (Walker & Ni, SIAM J. Numer. Anal. 2011), with residuals in
-    that gauge and unweighted least squares. The accelerated point replaces
-    the plain update only if sum |gamma| <= 1e4 (a drifting atom leaves the
-    residual unchanged and gamma meaningless), its gaps stay above 1e-12
-    relative (so make_grid_measure keeps every atom), and no atom moves
-    against its own plain step, modulo translation, by more than the largest
-    plain step: a tail cluster far from the bulk drifts at a constant rate the
-    residual cannot see, and unguarded extrapolation throws it the wrong way.
-    Each outer iteration's step is returned in `steps`.
+    alpha's atoms and the residual modulo translation, by unweighted least
+    squares (Walker & Ni, SIAM J. Numer. Anal. 2011). A jump with sum |gamma|
+    > 1e4, or one moving an atom against its plain step by more than the
+    largest plain step, is refused. A refused iterate whose residual moved by
+    at most 3 % is a drift (a far tail cluster moving at a rate the step cannot
+    see), and the step along it doubles while that lasts. A point with a gap of
+    1e-12 relative or less gives way to the plain update. `steps` holds each step.
 
     Residuals are recomputed from scratch on the returned pair; failure to
     meet fit_tolerance within max_iterations raises ConvergenceError carrying
@@ -203,7 +201,7 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
     alpha = make_grid_measure(nu0.atoms - nu0.mean, w)
     thr_warm = None
     xs, fs, steps = [], [], []  # xs, fs: the last ANDERSON_DEPTH + 1 iterates, residuals
-    converged = False
+    beta, converged = 1.0, False
     while len(steps) < params.max_iterations:
         fn = monotone_rearrangement(nu1, alpha, warm_thresholds=thr_warm)
         thr_warm = fn.thresholds
@@ -221,10 +219,16 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
             gamma = np.linalg.lstsq(df.T, f, rcond=None)[0]
             jump = nxt - (dx + df).T @ gamma
             move = jump - alpha.atoms
-            if (np.abs(gamma).sum() <= 1e4 and np.all(np.isfinite(jump))
-                    and np.all(np.diff(jump) > 1e-12 * np.maximum(1.0, np.abs(jump[1:])))
+            if (np.abs(gamma).sum() <= 1e4
                     and np.all(np.sign(f) * (move - w @ move) >= -np.abs(f).max())):
                 nxt = jump
+        drift = (nxt is image.atoms and len(fs) > 1
+                 and np.linalg.norm(f - fs[-2]) <= 0.03 * np.linalg.norm(f))
+        beta = 2.0 * beta if drift else 1.0
+        nxt = nxt + (beta - 1.0) * f
+        if not (np.all(np.isfinite(nxt))
+                and np.all(np.diff(nxt) > 1e-12 * np.maximum(1.0, np.abs(nxt[1:])))):
+            nxt, beta = image.atoms, 1.0
         alpha = make_grid_measure(nxt, w)
 
     fn = monotone_rearrangement(nu1, alpha)
