@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .gaussian import (
+    _MIXTURE_TOL,
     StepFn,
     MonotoneFn,
     heat_convolve_inverse,
@@ -59,17 +60,37 @@ class SolverParams:
 
     @staticmethod
     def from_dict(d: dict) -> "SolverParams":
-        """Read the known fields; other keys (such as a retired gh_nodes) are ignored.
+        """Read each field by _config_value; other keys (a retired gh_nodes) are ignored."""
+        return SolverParams(**{f.name: _config_value(d, f.name, f.default, type(f.default), "solver")
+                               for f in fields(SolverParams)})
 
-        A known value that is not a number of its field's type (an int for
-        max_iterations) raises ValueError naming the key.
-        """
-        for f in fields(SolverParams):
-            value, kind = d.get(f.name, f.default), type(f.default)
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                raise ValueError(f"solver key {f.name!r} must be {kind.__name__}, got {value!r}")
-        return SolverParams(**{f.name: d[f.name] for f in fields(SolverParams)
-                               if f.name in d})
+
+def _is_kind(value, kind) -> bool:
+    if kind not in (int, float):
+        return isinstance(value, kind)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return kind is float or isinstance(value, int) or value.is_integer()
+
+
+def _config_value(block: dict, key: str, default, kind, name: str = "config"):
+    """block[key], or default without the key (... for none), as a value of kind.
+
+    kind is int, float, str, dict or [kind], a list of one of these. A float is
+    any number, an int an integer or an integral float (1e4), a bool neither;
+    anything else raises ValueError naming the block and the key.
+    """
+    value = block.get(key, default)
+    if value is ...:
+        raise ValueError(f"{name} key {key!r} is missing")
+    listed = isinstance(kind, list)
+    item, items = (kind[0], value) if listed else (kind, [value])
+    if listed != isinstance(value, list) or not all(_is_kind(v, item) for v in items):
+        wanted = f"a list of {item.__name__}" if listed else item.__name__
+        raise ValueError(f"{name} key {key!r} must be {wanted}, got {value!r}")
+    if item in (int, float):
+        items = [item(v) for v in items]
+    return items if listed else items[0]
 
 
 @dataclass(frozen=True)
@@ -129,16 +150,14 @@ def monotone_rearrangement(nu1: GridMeasure, alpha: GridMeasure,
     return StepFn(np.where(key < 0, -key | sign, key).view(np.float64), nu1.atoms)
 
 
-def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-13,
-                 warm_atoms=None) -> GridMeasure:
+def update_alpha(nu0: GridMeasure, fn: MonotoneFn, warm_atoms=None) -> GridMeasure:
     """Solve (gamma_1 * fn)(a_i) = x_i for each atom x_i of nu0.
 
     The smoothed map is strictly increasing, so the returned atoms inherit
     nu0's order; weights are copied from nu0. Each atom is returned at the
-    first iterate meeting tol, so tol is the accuracy delivered. The 1e-13
-    default is the tolerance of monotone_rearrangement's mixture quantiles:
-    a looser one would let this inversion, not the fixed point, set the
-    solver's residuals.
+    first iterate meeting the tolerance of monotone_rearrangement's mixture
+    quantiles: a looser one would let this inversion, not the fixed point,
+    set the solver's residuals.
     """
     targets = nu0.atoms
     if targets[0] <= fn.lower or targets[-1] >= fn.upper:
@@ -146,7 +165,7 @@ def update_alpha(nu0: GridMeasure, fn: MonotoneFn, tol: float = 1e-13,
             f"atom of the initial law outside the open image "
             f"({fn.lower}, {fn.upper}) of the smoothed map; "
             "the pair is not in convex order or the target grid is truncated too tightly")
-    atoms = heat_convolve_inverse(fn, 1.0, targets, tol=tol, x0=warm_atoms)
+    atoms = heat_convolve_inverse(fn, 1.0, targets, tol=_MIXTURE_TOL, x0=warm_atoms)
     return make_grid_measure(atoms, nu0.weights)
 
 

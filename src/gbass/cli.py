@@ -2,12 +2,14 @@
 
 Configs are JSON; marginals may be inline atom lists, parametric families
 discretized on construction, or CSV samples. All outputs are deterministic
-given the config.
+given the config. Every config value is read by ``_config_value`` before any
+solve: a float is any number, an int an integer or an integral float, a bool
+neither, and a missing or mistyped value is refused naming its key.
 
 Every command is a handler ``(config, base_dir, out, seed) -> (payload,
 exit_code)`` that writes its data files under ``out``; ``run`` writes the
-payload once as ``out/report.json`` after the command's name, and maps every
-error to an exit code.
+payload once as ``out/report.json`` after the command's name. Exit codes: 0
+ok, 2 invalid input or file error, 3 no convergence, 4 internal error.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .bass_solver import ConvergenceError, SolverParams
+from .bass_solver import ConvergenceError, SolverParams, _config_value
 from .discretize import Lognormal, Mixture, Uniform, discretize_family, discretize_samples
 from .duality_values import make_value_report
 from .geometric_bridge import GeometricSolution, marginal_flow, solve_geometric, to_arithmetic
@@ -34,70 +37,58 @@ from .simulate import (_write_csv, ensemble_stats, export_paths_csv, simulate_ge
                        simulate_geometric_weighted)
 
 
-class ConfigError(ValueError):
-    pass
+def _build_family(spec: dict, name: str):
+    read = partial(_config_value, spec, name=name)
+    family = read("family", ..., str)
+    if family == "lognormal":
+        return Lognormal(read("meanlog", ..., float), read("varlog", ..., float))
+    if family == "uniform":
+        return Uniform(read("a", ..., float), read("b", ..., float))
+    if family == "mixture":
+        parts = read("components", ..., [dict])
+        weights = [_config_value(p, "weight", 1.0, float, f"{name} component") for p in parts]
+        return Mixture([_build_family(p, f"{name} component") for p in parts], weights)
+    raise ValueError(f"unknown family {family!r}")
 
 
-def _build_family(spec: dict):
-    name = spec.get("family")
-    if name == "lognormal":
-        return Lognormal(spec["meanlog"], spec["varlog"])
-    if name == "uniform":
-        return Uniform(spec["a"], spec["b"])
-    if name == "mixture":
-        parts = [_build_family(p) for p in spec["components"]]
-        weights = [p.get("weight", 1.0) for p in spec["components"]]
-        return Mixture(parts, weights)
-    raise ConfigError(f"unknown family {name!r}")
-
-
-def build_marginal(spec: dict, base_dir: Path) -> GridMeasure:
-    if not isinstance(spec, dict):
-        raise ConfigError("marginal spec must be a JSON object")
+def build_marginal(config: dict, key: str, base_dir: Path) -> GridMeasure:
+    """The marginal under config[key]: inline atoms, a CSV sample or a family."""
+    spec = _config_value(config, key, ..., dict)
+    read = partial(_config_value, spec, name=key)
     if "atoms" in spec:
-        return make_grid_measure(spec["atoms"], spec["weights"])
+        return make_grid_measure(read("atoms", ..., [float]), read("weights", ..., [float]))
     if "csv" in spec:
-        path = Path(spec["csv"])
-        if not path.is_absolute():
-            path = base_dir / path
-        if not path.exists():
-            raise ConfigError(f"sample file does not exist: {path}")
-        samples = np.loadtxt(path, delimiter=",", ndmin=1)
-        return discretize_samples(samples, int(spec.get("bins", 101)))
-    if "family" in spec:
-        if spec.get("family") == "two_point":
-            p1 = float(spec["p1"])
-            return make_grid_measure([spec["x1"], spec["x2"]], [p1, 1.0 - p1])
-        family = _build_family(spec)
-        return discretize_family(family, int(spec.get("grid_size", 1001)),
-                                 float(spec.get("truncation", 1e-6)))
-    raise ConfigError("marginal spec needs 'atoms', 'family' or 'csv'")
+        path = base_dir / read("csv", ..., str)
+        bins = read("bins", 101, int)
+        return discretize_samples(np.loadtxt(path, delimiter=",", ndmin=1), bins)
+    if "family" not in spec:
+        raise ValueError("marginal spec needs 'atoms', 'family' or 'csv'")
+    if read("family", ..., str) == "two_point":
+        p1 = read("p1", ..., float)
+        return make_grid_measure([read("x1", ..., float), read("x2", ..., float)], [p1, 1.0 - p1])
+    family = _build_family(spec, key)
+    return discretize_family(family, read("grid_size", 1001, int), read("truncation", 1e-6, float))
 
 
 def load_config(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return config
 
 
 def build_marginals(config: dict, base_dir: Path) -> tuple[GridMeasure, GridMeasure]:
-    try:
-        mu0 = build_marginal(config["mu0"], base_dir)
-        mu1 = build_marginal(config["mu1"], base_dir)
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
+    mu0 = build_marginal(config, "mu0", base_dir)
+    mu1 = build_marginal(config, "mu1", base_dir)
     gap = mu0.mean - mu1.mean
     if gap != 0.0:
         if abs(gap) >= 1e-6:
-            raise ConfigError(
+            raise ValueError(
                 f"marginal means differ by {gap:.3e}; refusing to correct more than 1e-6")
         shifted = mu1.atoms + gap
         if np.any(shifted <= 0):
-            raise ConfigError("mean correction would break positive support")
+            raise ValueError("mean correction would break positive support")
         mu1 = make_grid_measure(shifted, mu1.weights)
     return mu0, mu1
 
@@ -137,22 +128,14 @@ def _solution_payload(gsol: GeometricSolution) -> dict:
 
 def _solve_from_config(config: dict, base_dir: Path) -> GeometricSolution:
     mu0, mu1 = build_marginals(config, base_dir)
-    params = SolverParams.from_dict(config.get("solver", {}))
+    params = SolverParams.from_dict(_config_value(config, "solver", {}, dict))
     return solve_geometric(mu0, mu1, params)
-
-
-def _read(block: dict, key: str, default, kind):
-    """kind(block[key]), or kind(default) without the key; ConfigError naming key if it fails."""
-    try:
-        return kind(block.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def _solve_and_values(config: dict, base_dir: Path) -> tuple[GeometricSolution, dict]:
     """Solve the configured pair; return it with the report's "values" entry."""
-    sigma_bar = _read(config, "sigma_bar", 1.0, float)
-    Sigma_bar = _read(config, "Sigma_bar", 1.0, float)
+    sigma_bar = _config_value(config, "sigma_bar", 1.0, float)
+    Sigma_bar = _config_value(config, "Sigma_bar", 1.0, float)
     gsol = _solve_from_config(config, base_dir)
     return gsol, {"values": make_value_report(gsol, sigma_bar, Sigma_bar).to_dict()}
 
@@ -194,10 +177,10 @@ def _cmd_value(config: dict, base_dir: Path, out: Path, seed: int | None) -> tup
 
 
 def _cmd_flow(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
-    times = _read(config, "flow_times", [0.0, 0.5, 1.0], lambda ts: [float(t) for t in ts])
+    times = _config_value(config, "flow_times", [0.0, 0.5, 1.0], [float])
     for t in times:
         if not 0.0 <= t <= 1.0:
-            raise ConfigError(f"flow time {t} outside [0, 1]")
+            raise ValueError(f"flow time {t} outside [0, 1]")
     gsol = _solve_from_config(config, base_dir)
     files = []
     means = {}
@@ -212,17 +195,16 @@ def _cmd_flow(config: dict, base_dir: Path, out: Path, seed: int | None) -> tupl
 
 
 def _cmd_simulate(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
-    sim = config.get("simulation", {})
-    if not isinstance(sim, dict):
-        raise ConfigError("config key 'simulation' must be a JSON object")
-    engines = _read(sim, "engines", ["weighted"], list)
+    sim = _config_value(config, "simulation", {}, dict)
+    read = partial(_config_value, sim, name="simulation")
+    engines = read("engines", ["weighted"], [str])
     for engine in engines:
         if engine not in ("weighted", "sde"):
-            raise ConfigError(f"unknown engine {engine!r}; use 'weighted' or 'sde'")
-    n_steps = _read(sim, "n_steps", 200, int)
-    n_paths = _read(sim, "n_paths", 10000, int)
-    seed = seed if seed is not None else _read(sim, "seed", 0, int)
-    idx = _read(sim, "component_index", 0, int) if "sde" in engines else 0
+            raise ValueError(f"unknown engine {engine!r}; use 'weighted' or 'sde'")
+    n_steps = read("n_steps", 200, int)
+    n_paths = read("n_paths", 10000, int)
+    seed = seed if seed is not None else read("seed", 0, int)
+    idx = read("component_index", 0, int) if "sde" in engines else 0
     gsol = _solve_from_config(config, base_dir)
     payload: dict = {"seed": seed, "files": [], "stats": {}}
     refs = (gsol.mu0, gsol.mu1)
@@ -262,7 +244,7 @@ def run(argv) -> int:
     try:
         config_path = Path(args.config)
         config = load_config(config_path)
-        out_dir = _read(config, "output_dir", ".", Path)
+        out_dir = Path(_config_value(config, "output_dir", ".", str))
         out = Path(args.out) if args.out else out_dir
         payload, code = _COMMANDS[args.command](config, config_path.parent, out, args.seed)
         _write_json(out / "report.json", {"command": args.command, **payload})
@@ -270,17 +252,15 @@ def run(argv) -> int:
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # ValueError covers ConfigError, MeasureError and malformed JSON; a config
-        # value of the wrong type surfaces as TypeError or AttributeError
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, FloatingPointError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

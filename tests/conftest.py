@@ -68,6 +68,15 @@ def geometric_step_solution(geometric_step_pair):
 
 
 @pytest.fixture(scope="session")
+def static_mass_solution():
+    # (delta_1 + delta_3) / 2 to (delta_0.5 + delta_1.5) / 4 + delta_3 / 2: one component
+    # on [0.5, 1.5] and a price atom at 3 that never moves (arithmetic static mass 0.75)
+    mu0 = g.make_grid_measure([1.0, 3.0], [0.5, 0.5])
+    mu1 = g.make_grid_measure([0.5, 1.5, 3.0], [0.25, 0.25, 0.5])
+    return g.solve_geometric(mu0, mu1)
+
+
+@pytest.fixture(scope="session")
 def two_component_pair():
     nu0 = g.make_grid_measure([1.0, 3.0], [0.5, 0.5])
     nu1 = g.make_grid_measure([0.5, 1.5, 2.5, 3.5], [0.25, 0.25, 0.25, 0.25])

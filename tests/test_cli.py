@@ -7,6 +7,9 @@ from gbass import cli
 from gbass.bass_solver import ConvergenceError
 
 
+LOGNORMAL = {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": 41}
+
+
 def write_config(tmp_path, **extra):
     """The two-point geometric step pair: delta_1 to (delta_0.5 + delta_1.5) / 2."""
     config = tmp_path / "config.json"
@@ -22,6 +25,9 @@ def write_config(tmp_path, **extra):
     (RuntimeError("boom"), 4, "internal error: boom"),
     (FloatingPointError("boom"), 4, "internal error: boom"),
     (ConvergenceError("boom", 1.0, 1.0, 5), 3, "solver did not converge: boom"),
+    (TypeError("boom"), 4, "internal error: boom"),
+    (AttributeError("boom"), 4, "internal error: boom"),
+    (KeyError("boom"), 4, "internal error: 'boom'"),
 ])
 def test_solver_failures_map_to_exit_codes(tmp_path, monkeypatch, capsys, exc, code, prefix):
     config = write_config(tmp_path)
@@ -144,8 +150,26 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, o
     ("simulate", {"simulation": 5}, "simulation"),
     ("flow", {"flow_times": 5}, "flow_times"),
     ("solve", {"output_dir": 5}, "output_dir"),
+    ("solve", {"mu1": {**LOGNORMAL, "meanlog": "x"}}, "meanlog"),
+    ("solve", {"mu1": {"family": "lognormal", "meanlog": 0.0}}, "varlog"),
+    ("solve", {"mu1": {"family": "mixture", "components": 5}}, "components"),
+    ("solve", {"mu1": {"family": "mixture", "components": [5]}}, "components"),
+    ("solve", {"mu1": {"family": "mixture", "components": [{**LOGNORMAL, "weight": "w"}]}},
+     "weight"),
+    ("solve", {"mu1": {"atoms": {"a": 1}, "weights": [1.0]}}, "atoms"),
+    ("solve", {"mu1": {"atoms": [1.0]}}, "weights"),
+    ("solve", {"mu1": {"csv": 5}}, "csv"),
+    ("solve", {"mu1": {"csv": "sample.csv", "bins": None}}, "bins"),
+    ("solve", {"mu1": {**LOGNORMAL, "grid_size": 41.7}}, "grid_size"),
+    ("solve", {"mu1": {"family": "two_point", "x1": 0.5, "x2": 1.5, "p1": [0.5]}}, "p1"),
+    ("solve", {"solver": 5}, "solver"),
+    ("simulate", {"simulation": {"n_paths": 2.7}}, "n_paths"),
+    ("simulate", {"simulation": {"n_paths": True}}, "n_paths"),
+    ("value", {"sigma_bar": True}, "sigma_bar"),
 ], ids=["max_iterations", "sigma_bar", "Sigma_bar", "n_paths", "component_index", "engine",
-        "simulation", "flow_times", "output_dir"])
+        "simulation", "flow_times", "output_dir", "meanlog", "varlog-missing", "components",
+        "component", "component-weight", "atoms", "weights-missing", "csv", "bins", "grid_size",
+        "p1", "solver", "n_paths-float", "n_paths-bool", "sigma_bar-bool"])
 def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys,
                                                    command, config, key):
     solves = []
@@ -153,5 +177,42 @@ def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys
     path = write_config(tmp_path, **config)
     assert cli.run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid input: ") and f"'{key}'" in err
+    assert err.startswith("invalid input: ") and f"'{key}'" in err and err.count("\n") == 1
     assert solves == []
+
+
+# one valid config per marginal spec kind; each target has the source's unit mean
+SAMPLE = [0.4, 0.7, 0.9, 1.0, 1.1, 1.3, 1.6]
+SPEC_KINDS = {
+    "atoms": {"atoms": [0.5, 1.5], "weights": [0.5, 0.5]},
+    "lognormal": LOGNORMAL,
+    "uniform": {"family": "uniform", "a": 0.5, "b": 1.5, "grid_size": 21},
+    "mixture": {"family": "mixture", "grid_size": 61, "components": [
+        {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04},
+        {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "weight": 2}]},
+    "two_point": {"family": "two_point", "x1": 0.5, "x2": 2.0, "p1": 2 / 3},
+    "csv": {"csv": "sample.csv", "bins": 3},
+}
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_check_accepts_every_marginal_spec_kind(tmp_path, capsys, kind):
+    (tmp_path / "sample.csv").write_text("\n".join(map(str, SAMPLE)) + "\n")
+    path = write_config(tmp_path, mu1=SPEC_KINDS[kind])
+    out = tmp_path / "out"
+    assert cli.run(["check", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["convex_order"]["in_convex_order"]
+
+
+@pytest.mark.parametrize("config, code", [({}, 0), ({"mu1": {"csv": 5}}, 2)],
+                         ids=["step-pair", "malformed"])
+def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys, config, code):
+    path = write_config(tmp_path, **config)
+    monkeypatch.setattr("sys.argv", ["gbass", "check", "--config", str(path),
+                                     "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == code
+    assert "Traceback" not in capsys.readouterr().err

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from gbass.discretize import Lognormal, Mixture, discretize_family
+from gbass.discretize import Lognormal, Mixture, Uniform, discretize_family, discretize_samples
+from gbass.measures import MeasureError
 
 MEANLOG, VARLOG = -0.08, 0.16
 GRID, TRUNCATION = 201, 1e-6
@@ -62,3 +63,36 @@ def test_one_part_mixture_is_the_part():
     u = np.linspace(0.001, 0.999, 51)
     assert np.array_equal(Mixture([part], [1.0]).quantile(u), part.quantile(u))
     assert Mixture([part], [1.0]).quantile(0.25) == float(part.quantile(0.25))
+
+
+def test_uniform_atoms_are_bin_midpoints():
+    a, b, n = 0.5, 1.5, 21
+    grid = discretize_family(Uniform(a, b), n, TRUNCATION)
+    levels = TRUNCATION + (1.0 - 2.0 * TRUNCATION) * np.arange(1, n) / n
+    edges = np.concatenate([[a], a + (b - a) * levels, [b]])
+    # the atoms are (hi^2 - lo^2) / (2 (b - a)) over the bin mass: rounding of the squares,
+    # magnified by the division
+    tol = 4 * np.finfo(float).eps * b ** 2 / ((b - a) * grid.weights.min())
+    assert np.max(np.abs(grid.atoms - (edges[:-1] + edges[1:]) / 2)) <= tol
+    assert np.max(np.abs(grid.weights - np.diff(edges) / (b - a))) <= 1e-15
+    assert grid.mean == pytest.approx((a + b) / 2, rel=1e-15)
+
+
+def test_samples_are_equal_count_group_means():
+    sample = np.random.default_rng(5).lognormal(0.0, 0.5, 103)
+    groups = np.array_split(np.sort(sample), 10)
+    grid = discretize_samples(sample, 10)
+    assert np.array_equal(grid.atoms, [group.mean() for group in groups])
+    assert np.max(np.abs(grid.weights - [group.size / sample.size for group in groups])) <= 1e-15
+
+
+def test_more_bins_than_samples_gives_one_atom_per_sample():
+    grid = discretize_samples([3.0, 1.0, 2.0], 10)
+    assert np.array_equal(grid.atoms, [1.0, 2.0, 3.0])
+    assert np.max(np.abs(grid.weights - 1.0 / 3.0)) <= 1e-16
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_raises(bad):
+    with pytest.raises(MeasureError, match="non-finite"):
+        discretize_samples([1.0, bad, 2.0], 2)

@@ -23,6 +23,19 @@ def test_flow_ends_are_the_marginals(request, grid_size, t):
     assert np.array_equal(flow.atoms, mu.atoms) and np.array_equal(flow.weights, mu.weights)
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+def test_flow_keeps_the_static_price_atom(static_mass_solution, t):
+    decomp = static_mass_solution.arithmetic.decomposition
+    assert len(decomp.components) == 1
+    assert decomp.identity_set_mass == pytest.approx(0.75, rel=1e-15)
+    flow = g.marginal_flow(static_mass_solution, t)
+    static = np.isclose(flow.atoms, 3.0, rtol=1e-14, atol=0.0)
+    assert flow.weights[static].sum() == pytest.approx(0.5, rel=1e-12)
+    assert np.all((0.5 <= flow.atoms[~static]) & (flow.atoms[~static] <= 1.5))
+    assert flow.mean == pytest.approx(static_mass_solution.m, rel=1e-12)
+    assert static_mass_solution.m == 2.0
+
+
 def test_sde_volatility_matches_gbm(bench_201):
     times = np.linspace(0.1, 0.9, 9)
     scores = np.linspace(-2.0, 2.0, 9)

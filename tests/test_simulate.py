@@ -106,6 +106,19 @@ def test_sde_without_components_holds_the_initial_draw():
         assert np.array_equal(ens.paths[:, 0], g.quantile(mu, first))
 
 
+def test_weighted_paths_at_the_static_price_stay_there(static_mass_solution):
+    paths = g.simulate_geometric_weighted(static_mass_solution, N_STEPS, 400, SEED).paths
+    static = paths[:, 0] == 3.0
+    assert 0 < static.sum() < 400 and np.all(paths[~static, 0] == 1.0)
+    assert np.all(paths[static] == 3.0)
+
+
+def test_sde_prices_beside_static_mass_are_finite_and_positive(static_mass_solution):
+    paths = g.simulate_geometric_sde(static_mass_solution, 0, N_STEPS, 400, SEED).paths
+    assert np.all(np.isfinite(paths)) and np.all(paths > 0)
+    assert np.all(paths[:, 0] == 1.0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("engine", ["arithmetic", "weighted", "sde"])
 def test_seed_outside_uint64_raises(bench_201, engine, seed):
