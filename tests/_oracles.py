@@ -11,7 +11,7 @@ import math
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.optimize import linprog
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 
 def erf_series(x: float, terms: int = 120) -> float:
@@ -258,3 +258,28 @@ def invert_increasing_reference(f, fprime, targets, lo, hi, tol: float, max_iter
     raise ReferenceStall(
         f"monotone inversion stalled after {step} steps: {rows.size} of {targets.size} "
         f"rows open, worst residual {worst:.3e}", worst, out.reshape(targets.shape))
+
+
+def path_reference(csol, seed: int, index: int, grid, heads: int, girsanov: bool = False):
+    """F_t(W_t) at each time of grid along one path of a path engine, written plainly.
+
+    The path's stream is philox_uniforms(seed, index, heads + n_steps). Its last head
+    uniform u picks the first index i whose cumulative weight reaches u, the weights being
+    source.weights, or under girsanov source.weights * source.atoms; W_0 is alpha's atom i
+    and F_0(W_0) is source.atoms[i]. Each step adds, under girsanov, the drift
+    (F_t' / F_t)(W) dt, then sqrt(dt) ndtri(u) of the next uniform, and reads F_t(W) by
+    fn.heat_convolve at variance 1 - t, one scalar at a time.
+    """
+    source, fn = csol.source, csol.fn
+    uniforms = philox_uniforms(seed, index, heads + len(grid) - 1)
+    weights = source.weights * source.atoms if girsanov else source.weights
+    cum = np.cumsum(weights / weights.sum())
+    i = next((j for j, c in enumerate(cum.tolist()) if c >= uniforms[heads - 1]), source.n - 1)
+    w, values = float(csol.alpha.atoms[i]), [float(source.atoms[i])]
+    for k in range(1, len(grid)):
+        dt = grid[k] - grid[k - 1]
+        if girsanov:
+            w += fn.heat_convolve_deriv(1.0 - grid[k - 1], w) / values[-1] * dt
+        w += ndtri(uniforms[heads + k - 1]) * np.sqrt(dt)
+        values.append(fn.heat_convolve(1.0 - grid[k], w))
+    return np.array(values)

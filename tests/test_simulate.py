@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gbass as g
 from gbass import simulate
-from _oracles import philox_uniforms, philox_word_uniforms
+from _oracles import path_reference, philox_uniforms, philox_word_uniforms
 
 N_PATHS = 20000
 N_STEPS = 10
@@ -84,6 +84,57 @@ def test_paths_start_and_end_on_the_marginals(bench_201, ensembles, engine):
     csol = bench_201.arithmetic.component_solutions[0]
     m = bench_201.m
     assert np.all((ens.paths >= m / csol.fn.upper) & (ens.paths <= m / csol.fn.lower))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_path_matches_the_per_path_reference(bench_201, seed):
+    # with one path, engine and reference both read each F_t on a single row
+    csol = bench_201.arithmetic.component_solutions[0]
+    sde = g.simulate_geometric_sde(bench_201, 0, N_STEPS, 1, seed)
+    assert np.array_equal(sde.paths[0], bench_201.m / path_reference(
+        csol, seed, 0, sde.time_grid, 1, girsanov=True))
+    arithmetic = g.simulate_arithmetic(bench_201.arithmetic, N_STEPS, 1, seed)
+    reference = path_reference(csol, seed, 0, arithmetic.time_grid, 2)
+    assert np.max(np.abs(arithmetic.paths[0] - reference) / np.abs(reference)) <= 1e-13
+
+
+def test_ensembles_match_the_per_path_reference(bench_201):
+    # 300 rows: F_t is read off a certified fit, within 2^-48 of fn's range of the dense
+    # sweep, and a row of a BLAS matrix-vector product rounds apart from a lone dot product
+    csol, n = bench_201.arithmetic.component_solutions[0], 300
+    sde = g.simulate_geometric_sde(bench_201, 0, N_STEPS, n, SEED)
+    arithmetic = g.simulate_arithmetic(bench_201.arithmetic, N_STEPS, n, SEED)
+    for ens, heads, girsanov in ((sde, 1, True), (arithmetic, 2, False)):
+        reference = np.array([path_reference(csol, SEED, i, ens.time_grid, heads, girsanov)
+                              for i in range(n)])
+        reference = bench_201.m / reference if girsanov else reference
+        assert np.max(np.abs(ens.paths - reference) / np.abs(reference)) <= 1e-13
+
+
+def two_component_runs(sol, gsol, n_paths):
+    return {"arithmetic": g.simulate_arithmetic(sol, 5, n_paths, SEED),
+            "weighted": g.simulate_geometric_weighted(gsol, 5, n_paths, SEED),
+            **{f"sde{c}": g.simulate_geometric_sde(gsol, c, 5, n_paths, SEED) for c in (0, 1)}}
+
+
+def test_two_component_paths_stay_in_one_component(two_component_pair, monkeypatch):
+    sol = g.solve_decomposed(*two_component_pair)
+    gsol = g.solve_geometric(*two_component_pair)
+    m, runs = gsol.m, two_component_runs(sol, gsol, 400)
+    # a component's closure: [lower, upper] of its fn for F_t(W_t), its image under m / x for prices
+    price = [(m / c.fn.upper, m / c.fn.lower) for c in gsol.arithmetic.component_solutions]
+    closures = {"arithmetic": [(c.fn.lower, c.fn.upper) for c in sol.component_solutions],
+                "weighted": price, "sde0": price[:1], "sde1": price[1:]}
+    for name, ens in runs.items():
+        lo, hi = ens.paths.min(axis=1), ens.paths.max(axis=1)
+        inside = np.array([(lo >= a) & (hi <= b) for a, b in closures[name]])
+        assert np.all(inside.any(axis=0)) and np.all(inside.any(axis=1)), name
+        target = two_component_pair[1] if name == "arithmetic" else gsol.mu1
+        assert np.max(nearest_relative_gap(ens.paths[:, -1], target.atoms)) <= 1e-14, name
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    for name, ens in two_component_runs(sol, gsol, 400).items():
+        assert np.array_equal(runs[name].paths, ens.paths), name
+        assert np.array_equal(runs[name].weights, ens.weights), name
 
 
 def test_sde_terminal_law_no_worse_than_euler_in_price(bench_201, ensembles):
