@@ -3,13 +3,15 @@
 The arithmetic engine samples F_t(W_t), F_t = fn * gamma_{1-t}, with exact
 marginals (component pasting plus static mass); the weighted engine reads the
 price m / F_t(W_t) off those paths, weighted by F_1(W_1) / m. The SDE engine
-samples the price measure itself, where by Girsanov W gains the drift
-d/dx log F_t, and S_t = m / F_t(W_t) needs no clamping. Both read F_t and its
-slope from ``StepFn.heat_convolve`` and ``heat_convolve_deriv``: Gaussian sums
-certified to 2^-48 of fn's range (over sqrt(2 pi s) for the slope). Every path
-owns a counter-based random stream keyed by (seed, path index), bit for bit
-numpy's Philox(key=[seed, index]), so ensembles are reproducible independently
-of chunking; a block's streams are computed at once, as arrays over (path,
+samples the price measure itself, and S_t = m / F_t(W_t) needs no clamping.
+One driver, ``_drive``, steps W for both: the SDE engine differs only by the
+paper's change of measure, which reweights W_0's law by F_0 and gives W the
+Girsanov drift d/dx log F_t. It reads F_t and its slope from
+``StepFn.heat_convolve`` and ``heat_convolve_deriv``: Gaussian sums certified
+to 2^-48 of fn's range (over sqrt(2 pi s) for the slope). Every path owns a
+counter-based random stream keyed by (seed, path index), bit for bit numpy's
+Philox(key=[seed, index]), so ensembles are reproducible independently of
+chunking; a block's streams are computed at once, as arrays over (path,
 counter), and a seed outside [0, 2^64) raises ValueError. Path and flow CSVs
 hold each value as '%.17g' formats it, byte for byte, computed for whole
 blocks of values at once.
@@ -154,6 +156,42 @@ def _uniform_blocks(seed: int, n_paths: int, count: int):
         yield start, stop, _path_uniforms(seed, np.arange(start, stop), count)
 
 
+def _streams(seed: int, n_paths: int, n_steps: int, heads: int):
+    """The time grid, each path's first heads uniforms, and a paths array whose columns
+    1..n_steps hold the path's Brownian increments sqrt(dt) ndtri(u) of its next uniforms."""
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("need at least one step and one path")
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    u = np.empty((n_paths, heads))
+    paths = np.empty((n_paths, n_steps + 1))
+    for start, stop, block in _uniform_blocks(seed, n_paths, heads + n_steps):
+        u[start:stop] = block[:, :heads]
+        ndtri(block[:, heads:], out=paths[start:stop, 1:])
+    paths[:, 1:] *= np.sqrt(np.diff(grid))
+    return grid, u, paths
+
+
+def _drive(csol, u: np.ndarray, paths: np.ndarray, grid: np.ndarray, girsanov: bool) -> None:
+    """Turn paths, whose columns 1.. hold Brownian increments, into F_t(W_t) in place.
+
+    W_0 is alpha's atom a_i, i drawn at levels u with weights source.weights, or under
+    girsanov source.weights * source.atoms, and F_0(a_i) = source.atoms[i] to the solver's
+    residual. Each step adds, under girsanov, the drift (F_t' / F_t)(W) dt, then the
+    increment, and reads F_t(W) from fn.heat_convolve.
+    """
+    fn, source = csol.fn, csol.source
+    weights = source.weights * source.atoms if girsanov else source.weights
+    pick = quantile(make_grid_measure(np.arange(source.n), weights), u).astype(np.int64)
+    w = csol.alpha.atoms[pick]
+    paths[:, 0] = source.atoms[pick]
+    for k in range(1, grid.size):
+        if girsanov:
+            s, dt = 1.0 - grid[k - 1], grid[k] - grid[k - 1]
+            w += fn.heat_convolve_deriv(s, w) / paths[:, k - 1] * dt
+        w += paths[:, k]
+        paths[:, k] = fn.heat_convolve(1.0 - grid[k], w)
+
+
 def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int) -> PathEnsemble:
     """Sample martingale paths as the smoothed generating function of a Brownian path.
 
@@ -162,48 +200,22 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
     maps to; later times read F_t through fn.heat_convolve, so marginals at
     grid times are exact up to its certified 2^-48 of fn's range.
     """
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("need at least one step and one path")
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    grid, u, paths = _streams(seed, n_paths, n_steps, 2)
     decomp = sol.decomposition
-    probs = np.array([decomp.identity_set_mass] +
-                     [c.mass for c in decomp.components])
-    cum_probs = np.cumsum(probs)
+    cum_probs = np.cumsum([decomp.identity_set_mass] + [c.mass for c in decomp.components])
     cum_probs[-1] = 1.0
-
-    paths = np.empty((n_paths, n_steps + 1))
-    labels = np.empty(n_paths, dtype=np.int64)
-    sqrt_dt = np.sqrt(np.diff(grid))
-
-    for start, stop, block in _uniform_blocks(seed, n_paths, n_steps + 2):
-        lab = np.searchsorted(cum_probs, block[:, 0], side="right")
-        labels[start:stop] = lab
-        w0 = np.empty(stop - start)
-        for ci in np.unique(lab):
-            rows = lab == ci
-            if ci == 0:
-                w0[rows] = quantile(decomp.identity_restriction, block[rows, 1])
-            else:
-                w0[rows] = quantile(sol.component_solutions[ci - 1].alpha,
-                                    block[rows, 1])
-        incr = ndtri(block[:, 2:]) * sqrt_dt[None, :]
-        paths[start:stop, 0] = w0
-        paths[start:stop, 1:] = w0[:, None] + np.cumsum(incr, axis=1)
-
+    labels = np.searchsorted(cum_probs, u[:, 0], side="right")
     for ci, csol in enumerate(sol.component_solutions, start=1):
         rows = np.flatnonzero(labels == ci)
-        if rows.size == 0:
-            continue
-        if rows.size == n_paths:  # a basic slice: no gather or scatter per step
-            rows = slice(None)
-        # W_0 is an alpha atom a_i, and F_0(a_i) = source.atoms[i] to the solver's residual
-        paths[rows, 0] = csol.source.atoms[np.searchsorted(csol.alpha.atoms, paths[rows, 0])]
-        for k, t in enumerate(grid[1:], start=1):
-            paths[rows, k] = csol.fn.heat_convolve(1.0 - t, paths[rows, k])
-    static = np.flatnonzero(labels == 0)
-    if static.size:
-        paths[static, 1:] = paths[static, :1]
-
+        if rows.size == n_paths:  # paths itself: no gather or scatter
+            _drive(csol, u[:, 1], paths, grid, girsanov=False)
+        elif rows.size:
+            block = paths[rows]
+            _drive(csol, u[rows, 1], block, grid, girsanov=False)
+            paths[rows] = block
+    static = labels == 0
+    if static.any():
+        paths[static] = quantile(decomp.identity_restriction, u[static, 1])[:, None]
     return PathEnsemble(grid, paths, np.ones(n_paths), seed, "arithmetic")
 
 
@@ -228,45 +240,21 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
                            n_steps: int, n_paths: int, seed: int) -> PathEnsemble:
     """Price paths S_t = m / F_t(W_t) under the price measure, on a single component.
 
-    Under the price measure the driving Brownian motion W has the Girsanov
-    drift d/dx log F_t, where F_t = fn * gamma_{1-t}. W_0 is drawn from alpha
-    reweighted by F_0(a_i) = source.atoms[i], which puts S_0 exactly on the
-    initial marginal; then W += (F_t' / F_t)(W) dt + sqrt(dt) ndtri(u), with
-    F_t and F_t' from fn.heat_convolve and fn.heat_convolve_deriv, and
-    S_1 = m / fn(W_1) lies on the terminal atoms. S never leaves
+    The arithmetic engine's driver with the change of measure: W_0 is drawn
+    from alpha reweighted by F_0(a_i) = source.atoms[i], which puts S_0
+    exactly on the initial marginal, and W gains the Girsanov drift
+    d/dx log F_t, read from fn.heat_convolve and fn.heat_convolve_deriv.
+    S_1 = m / fn(W_1) lies on the terminal atoms, and S never leaves
     (m / upper, m / lower), so clamp_count is 0.
     A component_index outside the solved components raises ValueError.
     """
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("need at least one step and one path")
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    dt = np.diff(grid)
-    sqrt_dt = np.sqrt(dt)
-    u0 = np.empty(n_paths)
-    incr = np.empty((n_paths, n_steps))
-    for start, stop, block in _uniform_blocks(seed, n_paths, n_steps + 1):
-        u0[start:stop] = block[:, 0]
-        ndtri(block[:, 1:], out=incr[start:stop])
-    incr *= sqrt_dt[None, :]
+    grid, u, paths = _streams(seed, n_paths, n_steps, 1)
     if not gsol.arithmetic.component_solutions:
         # nothing moves: constant paths drawn from the initial marginal
-        paths = np.repeat(quantile(gsol.mu0, u0)[:, None], n_steps + 1, axis=1)
-        return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
-    csol = component_solution(gsol, component_index)
-    fn, source, m = csol.fn, csol.source, gsol.m
-    # alpha's atoms solve F_0(a_i) = source.atoms[i]: each path draws the
-    # index i of its initial atom, and F_0(W_0) is that source atom
-    pick = quantile(make_grid_measure(np.arange(source.n), source.weights * source.atoms),
-                    u0).astype(np.int64)
-    w = csol.alpha.atoms[pick]
-
-    paths = np.empty((n_paths, n_steps + 1))
-    for k in range(n_steps):
-        s = 1.0 - grid[k]
-        value = source.atoms[pick] if k == 0 else fn.heat_convolve(s, w)
-        paths[:, k] = m / value
-        w = w + fn.heat_convolve_deriv(s, w) / value * dt[k] + incr[:, k]
-    paths[:, -1] = m / fn(w)
+        paths[:] = quantile(gsol.mu0, u[:, 0])[:, None]
+    else:
+        _drive(component_solution(gsol, component_index), u[:, 0], paths, grid, girsanov=True)
+        np.divide(gsol.m, paths, out=paths)
     return PathEnsemble(grid, paths, np.ones(n_paths), seed, "geometric_sde")
 
 
