@@ -55,6 +55,11 @@ class SolverParams:
     fit_tolerance: float = 1e-6
     max_iterations: int = 10000
 
+    def __post_init__(self):
+        for key, value in asdict(self).items():  # an iteration count > 0 is at least 1
+            if not 0 < value < np.inf:
+                raise ValueError(f"solver key {key!r} must be a finite number > 0, got {value!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -76,17 +81,17 @@ def _is_kind(value, kind) -> bool:
 def _config_value(block: dict, key: str, default, kind, name: str = "config"):
     """block[key], or default without the key (... for none), as a value of kind.
 
-    kind is int, float, str, dict or [kind], a list of one of these. A float is
-    any number, an int an integer or an integral float (1e4), a bool neither;
-    anything else raises ValueError naming the block and the key.
+    kind is int, float, str, dict or [kind], a non-empty list of one of these. A
+    float is any number, an int an integer or an integral float (1e4), a bool
+    neither; anything else raises ValueError naming the block and the key.
     """
     value = block.get(key, default)
     if value is ...:
         raise ValueError(f"{name} key {key!r} is missing")
     listed = isinstance(kind, list)
     item, items = (kind[0], value) if listed else (kind, [value])
-    if listed != isinstance(value, list) or not all(_is_kind(v, item) for v in items):
-        wanted = f"a list of {item.__name__}" if listed else item.__name__
+    if listed != isinstance(value, list) or not items or not all(_is_kind(v, item) for v in items):
+        wanted = f"a non-empty list of {item.__name__}" if listed else item.__name__
         raise ValueError(f"{name} key {key!r} must be {wanted}, got {value!r}")
     if item in (int, float):
         items = [item(v) for v in items]

@@ -4,12 +4,14 @@ Configs are JSON; marginals may be inline atom lists, parametric families
 discretized on construction, or CSV samples. All outputs are deterministic
 given the config. Every config value is read by ``_config_value`` before any
 solve: a float is any number, an int an integer or an integral float, a bool
-neither, and a missing or mistyped value is refused naming its key.
+neither, a list not empty, and a missing or mistyped value is refused naming
+its key.
 
 Every command is a handler ``(config, base_dir, out, seed) -> (payload,
 exit_code)`` that writes its data files under ``out``; ``run`` writes the
 payload once as ``out/report.json`` after the command's name. Exit codes: 0
-ok, 2 invalid input or file error, 3 no convergence, 4 internal error.
+ok, 2 invalid input or file error, 3 no convergence, 4 internal error, whose
+line names the exception's type.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def run(argv) -> int:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

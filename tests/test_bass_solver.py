@@ -343,7 +343,13 @@ class TestSolverParams:
     @pytest.mark.parametrize("key, value", [
         ("max_iterations", "x"), ("max_iterations", 10.5), ("max_iterations", True),
         ("step_tolerance", None), ("fit_tolerance", "1e-6"), ("fit_tolerance", [1e-6]),
+        ("max_iterations", 0), ("max_iterations", -3), ("step_tolerance", 0),
+        ("step_tolerance", float("nan")), ("fit_tolerance", -1), ("fit_tolerance", float("inf")),
     ])
     def test_wrong_type_names_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"solver key '{key}'"):
             g.SolverParams.from_dict({"gh_nodes": "retired", key: value})
+
+    def test_construction_checks_ranges(self):
+        with pytest.raises(ValueError, match="solver key 'max_iterations'"):
+            g.SolverParams(max_iterations=0)

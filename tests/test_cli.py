@@ -22,12 +22,12 @@ def write_config(tmp_path, **extra):
 
 
 @pytest.mark.parametrize("exc, code, prefix", [
-    (RuntimeError("boom"), 4, "internal error: boom"),
-    (FloatingPointError("boom"), 4, "internal error: boom"),
+    (RuntimeError("boom"), 4, "internal error: RuntimeError: boom"),
+    (FloatingPointError("boom"), 4, "internal error: FloatingPointError: boom"),
     (ConvergenceError("boom", 1.0, 1.0, 5), 3, "solver did not converge: boom"),
-    (TypeError("boom"), 4, "internal error: boom"),
-    (AttributeError("boom"), 4, "internal error: boom"),
-    (KeyError("boom"), 4, "internal error: 'boom'"),
+    (TypeError("boom"), 4, "internal error: TypeError: boom"),
+    (AttributeError("boom"), 4, "internal error: AttributeError: boom"),
+    (KeyError("boom"), 4, "internal error: KeyError: 'boom'"),
 ])
 def test_solver_failures_map_to_exit_codes(tmp_path, monkeypatch, capsys, exc, code, prefix):
     config = write_config(tmp_path)
@@ -166,10 +166,14 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, o
     ("simulate", {"simulation": {"n_paths": 2.7}}, "n_paths"),
     ("simulate", {"simulation": {"n_paths": True}}, "n_paths"),
     ("value", {"sigma_bar": True}, "sigma_bar"),
+    ("solve", {"solver": {"step_tolerance": 0}}, "step_tolerance"),
+    ("flow", {"flow_times": []}, "flow_times"),
+    ("simulate", {"simulation": {"engines": []}}, "engines"),
 ], ids=["max_iterations", "sigma_bar", "Sigma_bar", "n_paths", "component_index", "engine",
         "simulation", "flow_times", "output_dir", "meanlog", "varlog-missing", "components",
         "component", "component-weight", "atoms", "weights-missing", "csv", "bins", "grid_size",
-        "p1", "solver", "n_paths-float", "n_paths-bool", "sigma_bar-bool"])
+        "p1", "solver", "n_paths-float", "n_paths-bool", "sigma_bar-bool", "step_tolerance-zero",
+        "flow_times-empty", "engines-empty"])
 def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys,
                                                    command, config, key):
     solves = []
