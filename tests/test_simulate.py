@@ -129,6 +129,10 @@ def test_two_component_paths_stay_in_one_component(two_component_pair, monkeypat
         lo, hi = ens.paths.min(axis=1), ens.paths.max(axis=1)
         inside = np.array([(lo >= a) & (hi <= b) for a, b in closures[name]])
         assert np.all(inside.any(axis=0)) and np.all(inside.any(axis=1)), name
+        if name == "arithmetic":  # and each path follows its component's per-path reference
+            for i, c in enumerate(inside.argmax(axis=0)):
+                reference = path_reference(sol.component_solutions[c], SEED, i, ens.time_grid, 2)
+                assert np.max(np.abs(ens.paths[i] - reference) / np.abs(reference)) <= 1e-13
         target = two_component_pair[1] if name == "arithmetic" else gsol.mu1
         assert np.max(nearest_relative_gap(ens.paths[:, -1], target.atoms)) <= 1e-14, name
     monkeypatch.setattr(simulate, "_CHUNK", 7)
