@@ -539,6 +539,29 @@ class TestResidualContract:
     def test_heat_convolve_inverse(self, s):
         self.check_heat_convolve_inverse(s)
 
+    def test_solver_inversions_on_bench_pairs(self, bench):
+        # the two inversions of the fixed point against the dense formula, with
+        # 2^-47 of the map's range on top of tol for the dense sweep's own rounding
+        csol = bench.arithmetic.component_solutions[0]
+        target, source, alpha, fn = csol.target, csol.source, csol.alpha, csol.fn
+        mean = alpha.mean
+        spread = g.make_grid_measure(mean + 1.001 * (alpha.atoms - mean), alpha.weights)
+        cum, tails = target.cum_weights[:-1], target.tail_weights[:-1]
+        lower = cum <= 0.5
+        for a in (alpha, spread):
+            for warm in (None, fn.thresholds):
+                thr = g.monotone_rearrangement(target, a, warm_thresholds=warm).thresholds
+                cdf = gaussian._gauss_sweep(thr, a.atoms, a.weights, 1.0, False)
+                sf = gaussian._gauss_sweep(-thr, -a.atoms, a.weights, 1.0, False)
+                err = np.where(lower, np.abs(cdf - cum), np.abs(sf - tails))
+                assert err.max() <= gaussian._MIXTURE_TOL + 2.0 ** -47
+        for warm in (None, alpha.atoms):
+            atoms = g.update_alpha(source, fn, warm_atoms=warm).atoms
+            smoothed = fn.levels[0] + gaussian._gauss_sweep(atoms, fn.thresholds, fn.jumps,
+                                                            1.0, False)
+            assert (np.abs(smoothed - source.atoms).max()
+                    <= gaussian._MIXTURE_TOL + 2.0 ** -47 * (fn.upper - fn.lower))
+
     @pytest.mark.parametrize("proxy", ["shifted", "nan"])
     @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
     def test_broken_proxy_only_seeds(self, s, proxy, monkeypatch):
