@@ -5,7 +5,7 @@ discretized on construction, or CSV samples. All outputs are deterministic
 given the config. Every config value is read by ``_config_value`` before any
 solve: a float is any number, an int an integer or an integral float, a bool
 neither, a list not empty, and a missing or mistyped value is refused naming
-its key.
+its key, as are simulation steps, paths and seed out of range.
 
 Every command is a handler ``(config, base_dir, out, seed) -> (payload,
 exit_code)`` that writes its data files under ``out``; ``run`` writes the
@@ -35,8 +35,8 @@ from .measures import (
     irreducible_components,
     make_grid_measure,
 )
-from .simulate import (_write_csv, ensemble_stats, export_paths_csv, simulate_geometric_sde,
-                       simulate_geometric_weighted)
+from .simulate import (_write_csv, _check_simulation, ensemble_stats, export_paths_csv,
+                       simulate_geometric_sde, simulate_geometric_weighted)
 
 
 def _build_family(spec: dict, name: str):
@@ -207,6 +207,7 @@ def _cmd_simulate(config: dict, base_dir: Path, out: Path, seed: int | None) -> 
     n_paths = read("n_paths", 10000, int)
     seed = seed if seed is not None else read("seed", 0, int)
     idx = read("component_index", 0, int) if "sde" in engines else 0
+    _check_simulation(n_steps, n_paths, seed)
     gsol = _solve_from_config(config, base_dir)
     payload: dict = {"seed": seed, "files": [], "stats": {}}
     refs = (gsol.mu0, gsol.mu1)

@@ -6,22 +6,17 @@ mixture over an atomic measure, and the heat-kernel convolution F * gamma_s
 and Gauss-Hermite elsewhere. ``_gauss_sum`` is the one Gaussian sum
 sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, and the one evaluator of
 the mixture CDF and SF and of a step function's smoothing fn * gamma_s and
-its slope. Where that pays it interpolates the sum in x by a chopped
-Chebyshev series, certified by ``_certified_chebyshev`` to 2^-48 * sum |w|
-of the dense formula, and tail rows are swept densely. ``_clenshaw`` is the
-one evaluator of every Chebyshev series, fitted or proxy: numpy's chebval,
-bit for bit, in place. ``invert_increasing`` is the one bracketed monotone
-inversion. The two smoothed maps of the Bass fixed point each have one
-inversion built on it: ``mixture_quantiles`` inverts alpha * gamma_s (CDF
-below one half, survival function above), and ``heat_convolve_inverse``
-inverts fn * gamma_s.
-
-Both inverses first fit one Chebyshev proxy of the smoothed map per call and
-solve on it (``_proxy_seed``). The proxy's roots only replace the warm start
-x0: every returned row is still verified by ``invert_increasing`` on the
-Gaussian sum, with its certified accuracy. The proxy is skipped when its fit
-would cost more than a quarter of the targets, as for a single target, and a
-failed fit or proxy solve leaves x0 as given.
+its slope. ``_gauss_fit`` fits that sum once on an interval, where that pays,
+by a chopped Chebyshev series certified by ``_certified_chebyshev`` to
+2^-48 * sum |w| of the dense formula; tail rows are swept densely.
+``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
+chebval, bit for bit, in place. ``invert_increasing`` is the one bracketed
+monotone inversion. The two smoothed maps of the Bass fixed point each have
+one inversion built on it: ``mixture_quantiles`` inverts alpha * gamma_s
+(CDF below one half, survival function above), and
+``heat_convolve_inverse`` inverts fn * gamma_s. Each fits its map once over
+its brackets when it has enough targets, and every row is solved and
+verified on that certified fit.
 """
 
 from __future__ import annotations
@@ -44,12 +39,12 @@ _MIXTURE_TOL = 1e-13
 # super-geometrically once the degree passes a multiple of L / sqrt(s)
 # (Trefethen, Approximation Theory and Approximation Practice, ch. 8); at
 # 9 L / sqrt(s) both smoothed maps of the benchmark pairs fit to <= 3.1e-15.
-# It sets the degree of a proxy and the first degree of a Gaussian sum's fit.
+# It sets the first degree of a Gaussian sum's fit.
 _DEGREE_PER_WIDTH = 9.0
-# a proxy's fit costs degree + 1 exact rows and saves about two per target; a
-# Gaussian sum's certified fit costs 2 degree + 1 dense rows and saves one per
-# row. Each is made only while its cost stays within this share of the
-# targets or rows.
+# a Gaussian sum's certified fit costs 2 degree + 1 dense rows and saves one
+# per row: it is made only while that cost stays within this share of the
+# rows. An inversion's fit serves every Newton step, and may cost one dense
+# row per target.
 _FIT_SHARE = 0.25
 # a Gaussian sum with fewer rows, or at most this many centres, is swept densely
 _DENSE_SIZE = 64
@@ -107,45 +102,61 @@ def _gauss_sweep(x: np.ndarray, centers: np.ndarray, weights: np.ndarray, s: flo
     return out
 
 
+def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndarray,
+               density: bool, rows: int, share: float):
+    """The sum of _gauss_sum fitted once on the finite range of span, or None.
+
+    On that range, cut where every term is within 2^-60 of its bound, a
+    chopped Chebyshev series is certified to 2^-48 * sum |w| (over
+    sqrt(2 pi s) for the density) of the dense sweep, about its own rounding,
+    while its 2 degree + 1 dense rows stay within share (at most all) of rows.
+    None comes back for s <= 0, fewer than 64 rows, at most 64 centres, an
+    empty cut or no certified fit. The result evaluates a 1-D x by Clenshaw
+    inside the cut, of the series or, with slope=True, of its chebder; rows
+    outside the cut, non-finite rows and rows at most 2^-20 of their scale
+    (so tails keep their relative accuracy) get the dense sweep of the sum,
+    or of its density for the slope.
+    """
+    if rows < _DENSE_SIZE or centers.size <= _DENSE_SIZE or not s > 0:
+        return None
+    root, finite = np.sqrt(s), np.isfinite(span)
+    a = max(span.min(where=finite, initial=np.inf), centers.min() + root * _TAIL_Z)
+    b = min(span.max(where=finite, initial=-np.inf), centers.max() - root * _TAIL_Z)
+    total = np.abs(weights).sum()
+    slope_scale = total / np.sqrt(2.0 * np.pi * s)
+    scale = slope_scale if density else total
+    coef = None if not a < b else _certified_chebyshev(
+        lambda x: _gauss_sweep(x, centers, weights, s, density), a, b,
+        int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
+        (min(share, 1.0) * rows - 1.0) / 2.0, 2.0 ** -48 * scale)
+    if coef is None:
+        return None
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    slope_coef = lru_cache(maxsize=1)(lambda: chebder(coef) / half)  # on the first slope asked
+
+    def evaluate(x: np.ndarray, slope: bool = False) -> np.ndarray:
+        series, kind, bound = (slope_coef(), True, slope_scale) if slope else (coef, density, scale)
+        inside = np.isfinite(x) & (x >= a) & (x <= b)
+        out = np.empty_like(x)
+        out[inside] = _clenshaw((x[inside] - mid) / half, series)
+        dense = ~inside
+        dense[inside] = np.abs(out[inside]) <= 2.0 ** -20 * bound
+        out[dense] = _gauss_sweep(x[dense], centers, weights, s, kind)
+        return out
+    return evaluate
+
+
 def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
                density: bool = False) -> np.ndarray:
     """sum_j weights[j] * Phi((x - centers[j]) / sqrt(s)), or the density sum.
 
-    Shaped like np.atleast_1d(x). The sum is entire in x: on the finite range
-    of x, cut where every term is within 2^-60 of its bound, a chopped
-    Chebyshev series is certified to 2^-48 * sum |w| (over sqrt(2 pi s) for
-    the density) of the dense sweep, about that sweep's own rounding, while
-    its 2 degree + 1 dense rows stay within _FIT_SHARE (and at most all) of
-    the rows. Rows outside the cut, non-finite rows, rows fitted at most
-    2^-20 of that scale (so tails keep their relative accuracy), calls with
-    fewer than 64 rows or at most 64 centres, and calls whose fit fails get
-    the dense sweep.
+    Shaped like np.atleast_1d(x). Read off _gauss_fit on the range of x where
+    it certifies within _FIT_SHARE of the rows, and swept densely otherwise.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.ravel()
-    n_x, n_c = xs.size, centers.size
-    if n_x < _DENSE_SIZE or n_c <= _DENSE_SIZE:
-        return _gauss_sweep(xs, centers, weights, s, density).reshape(x.shape)
-    root = np.sqrt(s)
-    finite = np.isfinite(xs)
-    a = max(xs.min(where=finite, initial=np.inf), centers.min() + root * _TAIL_Z)
-    b = min(xs.max(where=finite, initial=-np.inf), centers.max() - root * _TAIL_Z)
-    scale = np.abs(weights).sum() / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
-
-    def sweep(points):
-        return _gauss_sweep(points, centers, weights, s, density)
-
-    coef = None if not a < b else _certified_chebyshev(
-        sweep, a, b, int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
-        (min(_FIT_SHARE, 1.0) * n_x - 1.0) / 2.0, 2.0 ** -48 * scale)
-    if coef is None:
-        return sweep(xs).reshape(x.shape)
-    inside = finite & (xs >= a) & (xs <= b)
-    out = np.empty_like(xs)
-    out[inside] = _clenshaw((xs[inside] - 0.5 * (a + b)) / (0.5 * (b - a)), coef)
-    dense = ~inside
-    dense[inside] = np.abs(out[inside]) <= 2.0 ** -20 * scale
-    out[dense] = sweep(xs[dense])
+    fit = _gauss_fit(centers, weights, s, xs, density, xs.size, _FIT_SHARE)
+    out = _gauss_sweep(xs, centers, weights, s, density) if fit is None else fit(xs)
     return out.reshape(x.shape)
 
 
@@ -198,10 +209,11 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
 
     Each step calls f and then fprime on the rows still open only, as a 1-D
     array, so both must act componentwise. Rows are verified on f as given:
-    for the Gaussian smoothings that is _gauss_sum, certified to 2^-48 of its
-    weights' total of the dense formula and dense on tail rows. A row closes
-    at its first iterate with |f(x) - target| <= max(tol, floor) and is
-    returned at that verified iterate; floor = 4 * spacing(max |target|), what float64 resolves around
+    for the Gaussian smoothings that is _gauss_sum or an inversion's
+    _gauss_fit, certified to 2^-48 of its weights' total of the dense formula
+    and dense on tail rows. A row closes at its first iterate with
+    |f(x) - target| <= max(tol, floor) and is returned at that verified
+    iterate; floor = 4 * spacing(max |target|), what float64 resolves around
     the largest target. A row that cannot move, because its Newton step is
     lost to rounding or its bracket is one ulp wide and the bisection rounds
     back to x, closes at x if and only if |f(x) - target| <= floor +
@@ -308,39 +320,6 @@ def _certified_chebyshev(evaluate, a: float, b: float, degree: int, max_degree: 
     return None
 
 
-def _proxy_seed(f, s: float, targets: np.ndarray, lo, hi, tol: float, x0):
-    """Roots of a Chebyshev proxy of f, as warm starts for the exact inversion.
-
-    f is an increasing Gaussian smoothing with variance s, lo and hi the
-    exact solve's brackets. Its interpolant at degree + 1 second-kind points
-    of [min lo, max hi] is fitted from exact sweeps, with the degree set to
-    _DEGREE_PER_WIDTH times that interval's half-width over sqrt(s), and
-    inverted to tol / 10 by invert_increasing. The proxy only seeds: callers
-    still verify every row on the exact f. x0 comes back unchanged when the
-    fit would cost more than _FIT_SHARE of the targets, when the fit is not
-    finite, or when the proxy solve stalls.
-    """
-    max_degree = _FIT_SHARE * np.size(targets) - 1
-    if max_degree < 1:
-        return x0
-    a, b = float(np.min(lo)), float(np.max(hi))
-    degree = np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / np.sqrt(s))
-    if not 1 <= degree <= max_degree:
-        return x0
-    coef = _chebyshev_fit(f, a, b, int(degree))
-    if not np.all(np.isfinite(coef)):
-        return x0
-    scale = 2.0 / (b - a)
-    slope = chebder(coef) * scale
-    mid = 0.5 * (a + b)
-    try:
-        return invert_increasing(lambda x: _clenshaw((x - mid) * scale, coef),
-                                 lambda x: _clenshaw((x - mid) * scale, slope),
-                                 targets, lo, hi, tol=tol / 10.0, x0=x0)
-    except InversionError:
-        return x0
-
-
 def smoothed_quantile(alpha: GridMeasure, s: float, u):
     """Inverse of smoothed_cdf, to the 1e-13 of mixture_quantiles.
 
@@ -361,16 +340,15 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
     """Points where alpha * gamma_s has lower mass cum and upper mass tails (= 1 - cum).
 
     Levels with cum <= 1/2 are solved on the CDF, the rest on minus the
-    survival function, and a warm start x0 is split the same way. Every
-    returned row is within 1e-13 of its level on that function, summed by
-    _gauss_sum: certified to 2^-48 of the dense formula, and on the dense
-    formula itself for rows whose CDF or SF is at most 2^-20. A
-    level with standard score z is bracketed by a + sqrt(s) z at alpha's end
-    atoms, and without x0 it starts at the Gaussian with alpha * gamma_s's
-    mean and variance. Before that solve, one Chebyshev proxy of the
-    mixture CDF is fitted for both halves and its roots replace x0 (see
-    _proxy_seed); it only seeds the solve, and it is skipped when its fit
-    would cost more than a quarter of the levels.
+    survival function, and a warm start x0 is split the same way. A level
+    with standard score z is bracketed by a + sqrt(s) z at alpha's end atoms,
+    and without x0 it starts at the Gaussian with alpha * gamma_s's mean and
+    variance. From 64 levels on, one _gauss_fit of the CDF over all brackets,
+    within one dense row per level, serves both halves (the SF is 1 - fit,
+    or smoothed_sf where at most 2^-20); otherwise they read smoothed_cdf
+    and smoothed_sf. Every returned row is within 1e-13 of its level on that
+    function: certified to 2^-48 of the dense formula, and on the dense
+    formula itself for rows whose CDF or SF is at most 2^-20.
     """
     out = np.empty(cum.shape)
     lower = cum <= 0.5
@@ -383,17 +361,23 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
     if x0 is None:
         var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
         x0 = alpha.mean + np.sqrt(s + var) * z
-    # the proxy is of the CDF; 1 - tails costs the upper levels only an
-    # absolute 1e-16, far inside the proxy solve's tolerance
-    x0 = _proxy_seed(lambda x: smoothed_cdf(alpha, s, x), s,
-                     np.where(lower, cum, 1.0 - tails), lo, hi, _MIXTURE_TOL, x0)
-    halves = ((lower, lambda x: smoothed_cdf(alpha, s, x), cum),
-              (~lower, lambda x: -smoothed_sf(alpha, s, x), -tails))
+    fit = _gauss_fit(alpha.atoms, alpha.weights, s, np.concatenate((lo, hi)), False, cum.size, 1.0)
+
+    def minus_sf(x):
+        # SFs above 2^-20 read 1 - fit; the rest, and all rows without a fit, smoothed_sf
+        vals = np.zeros_like(x) if fit is None else fit(x) - 1.0
+        tail = vals >= -2.0 ** -20
+        vals[tail] = -smoothed_sf(alpha, s, x[tail])
+        return vals
+
+    halves = ((lower, fit or (lambda x: smoothed_cdf(alpha, s, x)), cum),
+              (~lower, minus_sf, -tails))
+    slope = ((lambda x: fit(x, slope=True)) if fit else
+             (lambda x: _gauss_sum(x, alpha.atoms, alpha.weights, s, density=True)))
     for part, f, targets in halves:
         if part.any():
-            out[part] = invert_increasing(
-                f, lambda x: _gauss_sum(x, alpha.atoms, alpha.weights, s, density=True),
-                targets[part], lo[part], hi[part], tol=_MIXTURE_TOL, x0=x0[part])
+            out[part] = invert_increasing(f, slope, targets[part], lo[part], hi[part],
+                                          tol=_MIXTURE_TOL, x0=x0[part])
     return out
 
 
@@ -540,13 +524,11 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     (e0 - 9 sqrt(s), e1 + 9 sqrt(s)), with e0 = e1 = 0 where fn has no known
     constant ends. Each end that does not yet enclose the targets moves
     out by 1, 2, 4, ... until it does, and a step past 1e12 raises
-    ValueError. Every returned row meets tol on fn.heat_convolve; for a StepFn
-    that is _gauss_sum, certified to 2^-48 * sum of jumps of the dense formula
-    and on the dense formula itself where the sum is at most 2^-20 of it.
-    Before that solve, the roots of one Chebyshev proxy of fn * gamma_s over
-    the bracket replace x0 (see _proxy_seed); the proxy only seeds the
-    solve, and it is skipped when its fit would cost more than a quarter of
-    the targets, as for a single target. No targets give an empty result.
+    ValueError; no targets give an empty result. Every returned row meets
+    tol on fn.heat_convolve, or, for a StepFn with more than 64 thresholds
+    and at least 64 targets, on one _gauss_fit of fn * gamma_s over the
+    bracket, within one dense row per target: both certified to 2^-48 * sum
+    of jumps of the dense formula, and on it where the sum is at most 2^-20.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -570,7 +552,10 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
         lo -= step if f_lo > y_min else 0.0
         hi += step if f_hi < y_max else 0.0
         step *= 2.0
-    x0 = _proxy_seed(lambda x: fn.heat_convolve(s, x), s, y, lo, hi, tol, x0)
-    return invert_increasing(lambda x: fn.heat_convolve(s, x),
-                             lambda x: fn.heat_convolve_deriv(s, x),
-                             y, lo, hi, tol=tol, x0=x0)
+    fit = (_gauss_fit(fn.thresholds, fn.jumps, s, np.array([lo, hi]), False, y.size, 1.0)
+           if isinstance(fn, StepFn) else None)
+    if fit is None:
+        f, fprime = (lambda x: fn.heat_convolve(s, x)), (lambda x: fn.heat_convolve_deriv(s, x))
+    else:
+        f, fprime = (lambda x: fn.levels[0] + fit(x)), (lambda x: fit(x, slope=True))
+    return invert_increasing(f, fprime, y, lo, hi, tol=tol, x0=x0)

@@ -12,9 +12,13 @@ to 2^-48 of fn's range (over sqrt(2 pi s) for the slope). Every path owns a
 counter-based random stream keyed by (seed, path index), bit for bit numpy's
 Philox(key=[seed, index]), so ensembles are reproducible independently of
 chunking; a block's streams are computed at once, as arrays over (path,
-counter), and a seed outside [0, 2^64) raises ValueError. Path and flow CSVs
-hold each value as '%.17g' formats it, byte for byte, computed for whole
-blocks of values at once.
+counter). ``_check_simulation`` refuses fewer than one step or path and a seed
+outside [0, 2^64) with a ValueError naming the key, for the engines and for
+the CLI before its solve. A path's last bits can still differ between
+ensembles of different n_paths, by up to 5.5e-15 relative: F_t is read off
+the certified fit from 64 rows on, and a BLAS matrix-vector row rounds apart
+from a lone dot product. Path and flow CSVs hold each value as '%.17g'
+formats it, byte for byte, computed for whole blocks of values at once.
 """
 
 from __future__ import annotations
@@ -147,10 +151,17 @@ def _path_uniforms(seed: int, index, count: int) -> np.ndarray:
     return np.maximum((raw.reshape(*key.shape[:-1], -1)[..., :count] >> 11) * 2.0 ** -53, _MIN_U)
 
 
+def _check_simulation(n_steps: int, n_paths: int, seed: int) -> None:
+    """Refuse fewer than one step or path, or a seed outside [0, 2^64), naming the key."""
+    for key, value, ok in (("n_steps", n_steps, n_steps >= 1), ("n_paths", n_paths, n_paths >= 1),
+                           ("seed", seed, 0 <= seed < 2 ** 64)):
+        if not ok:
+            wanted = "lie in [0, 2**64)" if key == "seed" else "be at least 1"
+            raise ValueError(f"simulation key {key!r} must {wanted}, got {value!r}")
+
+
 def _uniform_blocks(seed: int, n_paths: int, count: int):
     """Yield (start, stop, block): the first count uniforms of paths start..stop-1, by row."""
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)
         yield start, stop, _path_uniforms(seed, np.arange(start, stop), count)
@@ -159,8 +170,7 @@ def _uniform_blocks(seed: int, n_paths: int, count: int):
 def _streams(seed: int, n_paths: int, n_steps: int, heads: int):
     """The time grid, each path's first heads uniforms, and a paths array whose columns
     1..n_steps hold the path's Brownian increments sqrt(dt) ndtri(u) of its next uniforms."""
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("need at least one step and one path")
+    _check_simulation(n_steps, n_paths, seed)
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     u = np.empty((n_paths, heads))
     paths = np.empty((n_paths, n_steps + 1))

@@ -8,11 +8,13 @@ stores, per grid size: the solved alpha and thresholds, the value report,
 the marginal flows at t in FLOW_TIMES, the volatilities at VOL_POINTS, and
 the weighted and SDE paths (PATHS paths x STEPS steps, seed SEED).
 ``compare`` prints, per array, the largest relative difference
-|a - b| / max(|a|, |b|), with 0 where both are 0. Given a BOUND, it then
+|a - b| / max(|a|, |b|), with 0 where both are 0, and next to it the largest
+absolute difference |a - b|, which judges arrays with entries near 0 (an atom
+near 0 turns a move of 5e-13 into a relative 1e-9). Given a BOUND, it then
 exits with status 1, naming on stderr each array whose difference is above
 its bound (or not a number) and each array missing from one file or shaped
 differently; otherwise it exits 0. Each GLOB=BOUND that follows sets the
-bound of the arrays whose keys match GLOB (``fnmatch``; keys read
+relative bound of the arrays whose keys match GLOB (``fnmatch``; keys read
 ``<grid size>/<name>``); the first matching GLOB wins, and BOUND holds for
 the rest. A golden check is one command: ``compare parent.npz change.npz 0``
 asks for equal values, ``compare parent.npz change.npz 1e-12`` for the
@@ -74,7 +76,8 @@ def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
 
 def compare(a, b, bound: float | None = None,
             bounds: list[tuple[str, float]] | None = None) -> int:
-    """Print each array's relative difference; with a bound, 1 if any array fails its bound, else 0.
+    """Print each array's relative and absolute difference; with a bound, 1 if any array
+    fails its bound on the relative difference, else 0.
 
     bounds holds (glob, bound) pairs: a key takes the bound of the first glob it matches.
     """
@@ -89,7 +92,8 @@ def compare(a, b, bound: float | None = None,
         else:
             diff = relative_difference(a[key], b[key])
             limit = next((lim for glob, lim in bounds or () if fnmatchcase(key, glob)), bound)
-            print(f"{key:32s} {diff:.3e}")
+            absolute = float(np.max(np.abs(a[key] - b[key]), initial=0.0))
+            print(f"{key:32s} {diff:.3e}  abs {absolute:.3e}")
             if limit is not None and not diff <= limit:  # NaN fails too
                 failed.append(f"{key} (bound {limit:g})")
     if bound is None or not failed:

@@ -88,7 +88,7 @@ def test_seed_outside_uint64_is_an_input_error(tmp_path, capsys, seed, where):
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
     assert cli.run(argv + (["--seed", str(seed)] if where == "option" else [])) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid input: seed") and err.count("\n") == 1
+    assert err.startswith("invalid input: simulation key 'seed'") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -169,11 +169,14 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, o
     ("solve", {"solver": {"step_tolerance": 0}}, "step_tolerance"),
     ("flow", {"flow_times": []}, "flow_times"),
     ("simulate", {"simulation": {"engines": []}}, "engines"),
+    ("simulate", {"simulation": {"n_paths": 0}}, "n_paths"),
+    ("simulate", {"simulation": {"n_steps": 0}}, "n_steps"),
+    ("simulate", {"simulation": {"seed": -1}}, "seed"),
 ], ids=["max_iterations", "sigma_bar", "Sigma_bar", "n_paths", "component_index", "engine",
         "simulation", "flow_times", "output_dir", "meanlog", "varlog-missing", "components",
         "component", "component-weight", "atoms", "weights-missing", "csv", "bins", "grid_size",
         "p1", "solver", "n_paths-float", "n_paths-bool", "sigma_bar-bool", "step_tolerance-zero",
-        "flow_times-empty", "engines-empty"])
+        "flow_times-empty", "engines-empty", "n_paths-zero", "n_steps-zero", "seed-negative"])
 def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys,
                                                    command, config, key):
     solves = []

@@ -116,6 +116,16 @@ class TestSmoothedQuantile:
         x = mixture_quantiles(alpha, 1.0, np.array([1 - tail]), np.array([tail]))
         assert abs(smoothed_sf(alpha, 1.0, x) - tail) < 1e-12 * 1e-2 + 1e-15
 
+    def test_rejects_zero_variance_with_enough_levels_to_fit(self):
+        # 100 atoms and 80 levels reach the inversion's fit, which a zero
+        # variance must not: the dense path refuses it
+        alpha = g.make_grid_measure(np.linspace(-1.0, 1.0, 100), np.ones(100))
+        with pytest.raises(ValueError, match="variance"):
+            g.smoothed_quantile(alpha, 0.0, np.linspace(0.01, 0.99, 80))
+        fn = g.StepFn(alpha.atoms, np.arange(101.0))
+        with pytest.raises(ValueError, match="variance"):
+            heat_convolve_inverse(fn, 0.0, np.linspace(1.0, 99.0, 80), 1e-12)
+
     def test_rejects_boundary(self):
         alpha = g.make_grid_measure([0.0], [1.0])
         with pytest.raises(ValueError):
@@ -467,21 +477,21 @@ class TestInvertIncreasingAgainstReference:
             assert new_exc.iterates.tobytes() == ref_exc.iterates.tobytes()
 
 
-def break_proxy(monkeypatch, proxy, s):
-    """Fit a wrong Chebyshev proxy on every call: shifted by sqrt(s), or NaN.
+def break_fits(monkeypatch, kind):
+    """Make every Chebyshev fit wrong: shifted by 1e-3, or NaN, so none certifies.
 
-    Fits are capped at degree 64, which keeps them cheap and, at small s,
-    wrong twice over. Returns the list of requested degrees, one per fit.
+    Lowers _DENSE_SIZE to 8, so inversions with more than 8 centres and at
+    least 8 targets try a fit. Returns the list of requested degrees, one per fit.
     """
     fits = []
 
     def broken(f, a, b, degree):
         fits.append(degree)
-        coef = fit(f, a, b, min(degree, 64))
-        return coef + np.sqrt(s) if proxy == "shifted" else np.full_like(coef, np.nan)
+        coef = fit(f, a, b, degree)
+        return coef + 1e-3 if kind == "shifted" else np.full_like(coef, np.nan)
 
     fit = gaussian._chebyshev_fit
-    monkeypatch.setattr(gaussian, "_FIT_SHARE", np.inf)
+    monkeypatch.setattr(gaussian, "_DENSE_SIZE", 8)
     monkeypatch.setattr(gaussian, "_chebyshev_fit", broken)
     return fits
 
@@ -495,25 +505,26 @@ class TestResidualContract:
     def tail_levels(rng, n=14):
         return 10.0 ** rng.uniform(-14.0, -1.0, n)
 
-    def check_mixture_quantiles(self, s):
+    def check_mixture_quantiles(self, s, mid=6):
+        # rows are checked on the dense formula; mid levels between the tails
         rng = np.random.default_rng(int(s * 1e4) + 17)
         for _ in range(4):
             n = int(rng.integers(1, 30))
             alpha = g.make_grid_measure(rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 1.0, n))
             low, high = self.tail_levels(rng), self.tail_levels(rng)
-            cum = np.concatenate([low, rng.uniform(0.1, 0.9, 6), 1.0 - high])
+            cum = np.concatenate([low, rng.uniform(0.1, 0.9, mid), 1.0 - high])
             tails = np.concatenate([1.0 - cum[:-high.size], high])
             cold = mixture_quantiles(alpha, s, cum, tails)
             warm = mixture_quantiles(alpha, s, cum, tails,
                                      x0=cold + rng.normal(0.0, np.sqrt(s), cold.size))
             lower = cum <= 0.5
             for q in (cold, warm):
-                assert np.all(np.abs(g.smoothed_cdf(alpha, s, q[lower]) - cum[lower])
-                              <= self.tol)
-                assert np.all(np.abs(smoothed_sf(alpha, s, q[~lower]) - tails[~lower])
-                              <= self.tol)
+                cdf = gaussian._gauss_sweep(q, alpha.atoms, alpha.weights, s, False)
+                sf = gaussian._gauss_sweep(-q, -alpha.atoms, alpha.weights, s, False)
+                assert np.all(np.abs(cdf[lower] - cum[lower]) <= self.tol)
+                assert np.all(np.abs(sf[~lower] - tails[~lower]) <= self.tol)
 
-    def check_heat_convolve_inverse(self, s):
+    def check_heat_convolve_inverse(self, s, mid=6):
         rng = np.random.default_rng(int(s * 1e4) + 29)
         for _ in range(4):
             n = int(rng.integers(1, 30))
@@ -523,13 +534,15 @@ class TestResidualContract:
             span = fn.upper - fn.lower
             small = self.tail_levels(rng)
             y = np.concatenate([fn.lower + span * small,
-                                fn.lower + span * rng.uniform(0.1, 0.9, 6),
+                                fn.lower + span * rng.uniform(0.1, 0.9, mid),
                                 fn.upper - span * small])
             cold = heat_convolve_inverse(fn, s, y, self.tol)
             warm = heat_convolve_inverse(fn, s, y, self.tol,
                                          x0=cold + rng.normal(0.0, np.sqrt(s), cold.size))
             for x in (cold, warm):
-                assert np.all(np.abs(fn.heat_convolve(s, x) - y) <= self.tol)
+                smoothed = fn.levels[0] + gaussian._gauss_sweep(x, fn.thresholds, fn.jumps, s,
+                                                                False)
+                assert np.all(np.abs(smoothed - y) <= self.tol)
 
     @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
     def test_mixture_quantiles(self, s):
@@ -562,29 +575,32 @@ class TestResidualContract:
             assert (np.abs(smoothed - source.atoms).max()
                     <= gaussian._MIXTURE_TOL + 2.0 ** -47 * (fn.upper - fn.lower))
 
-    @pytest.mark.parametrize("proxy", ["shifted", "nan"])
+    @pytest.mark.parametrize("kind", ["shifted", "nan"])
     @pytest.mark.parametrize("s", [1e-4, 0.01, 1.0, 4.0])
-    def test_broken_proxy_only_seeds(self, s, proxy, monkeypatch):
-        # a wrong proxy fitted on every call: the exact check alone decides
-        # which rows are returned
-        fits = break_proxy(monkeypatch, proxy, s)
-        self.check_mixture_quantiles(s)
-        self.check_heat_convolve_inverse(s)
-        assert len(fits) == 16
+    def test_broken_proxy_only_seeds(self, s, kind, monkeypatch):
+        # a broken proxy of the smoothed map, its Chebyshev fit shifted or NaN,
+        # never certifies: each inversion with more than 8 atoms tries one, then
+        # solves on the dense path, where every row still meets tol. A fit of
+        # degree 9 L / sqrt(s) over a bracket of half-width L < 3 + 8 sqrt(s)
+        # needs 2 degree + 1 targets, so mid levels are added up to that
+        fits = break_fits(monkeypatch, kind)
+        mid = int(2 * 9.0 * (3.0 / np.sqrt(s) + 8.0)) + 1
+        self.check_mixture_quantiles(s, mid)
+        mixture_fits = len(fits)
+        self.check_heat_convolve_inverse(s, mid)
+        assert mixture_fits and len(fits) > mixture_fits
 
 
 def rows_counter(monkeypatch):
-    """Count rows and fits, keeping the Gaussian sums' own fits apart.
+    """Count rows and certified fits of the Gaussian sums and inversions.
 
     exact: rows asked of the mixture CDF/SF and of StepFn smoothing, on
-    whichever path the sum takes. fit, fits: nodes and number of
-    _chebyshev_fit calls made outside a Gaussian sum (the proxy's).
-    sum_fits, sum_rows: fits a Gaussian sum makes of itself and the dense
-    rows they take. dense: every other row of the dense kernel, the
-    density's included.
+    whichever path the sum takes. fits: _certified_chebyshev calls, made by
+    a Gaussian sum or an inversion; fit_rows: the dense rows they take.
+    dense: every other row of the dense kernel, the density's included.
     """
-    rows = {"exact": 0, "fit": 0, "fits": 0, "sum_fits": 0, "sum_rows": 0, "dense": 0}
-    stack = []
+    rows = {"exact": 0, "fits": 0, "fit_rows": 0, "dense": 0}
+    fitting = []
 
     def counted(f):
         def wrapper(first, s, x, *args):
@@ -592,36 +608,24 @@ def rows_counter(monkeypatch):
             return f(first, s, x, *args)
         return wrapper
 
-    def entered(f, name):
-        def wrapper(*args, **kwargs):
-            stack.append(name)
-            try:
-                return f(*args, **kwargs)
-            finally:
-                stack.pop()
-        return wrapper
+    certify, sweep = gaussian._certified_chebyshev, gaussian._gauss_sweep
 
-    fit, sweep = gaussian._chebyshev_fit, gaussian._gauss_sweep
-
-    def counted_fit(f, a, b, degree):
-        if "sum" in stack:
-            rows["sum_fits"] += 1
-        else:
-            rows["fit"] += degree + 1
-            rows["fits"] += 1
-        return fit(f, a, b, degree)
+    def counted_certify(*args):
+        rows["fits"] += 1
+        fitting.append(True)
+        try:
+            return certify(*args)
+        finally:
+            fitting.pop()
 
     def counted_sweep(x, *args):
-        rows["sum_rows" if stack[-2:] == ["sum", "certify"] else "dense"] += x.size
+        rows["fit_rows" if fitting else "dense"] += x.size
         return sweep(x, *args)
 
     monkeypatch.setattr(gaussian, "smoothed_cdf", counted(gaussian.smoothed_cdf))
     monkeypatch.setattr(gaussian, "smoothed_sf", counted(gaussian.smoothed_sf))
     monkeypatch.setattr(g.StepFn, "heat_convolve", counted(g.StepFn.heat_convolve))
-    monkeypatch.setattr(gaussian, "_gauss_sum", entered(gaussian._gauss_sum, "sum"))
-    monkeypatch.setattr(gaussian, "_certified_chebyshev",
-                        entered(gaussian._certified_chebyshev, "certify"))
-    monkeypatch.setattr(gaussian, "_chebyshev_fit", counted_fit)
+    monkeypatch.setattr(gaussian, "_certified_chebyshev", counted_certify)
     monkeypatch.setattr(gaussian, "_gauss_sweep", counted_sweep)
     return rows
 
@@ -651,35 +655,28 @@ class TestClenshaw:
         assert not hasattr(gaussian, "chebval")
 
 
-class TestChebyshevProxy:
-    """The proxy of the smoothed map seeds the exact solve on the benchmark pairs."""
+class TestInversionFit:
+    """Each inversion of the fixed point fits its smoothed map once on the benchmark pairs."""
 
-    def test_warm_solves_close_at_the_seed(self, bench, monkeypatch):
+    def test_warm_solves_fit_once(self, bench, monkeypatch):
         csol = bench.arithmetic.component_solutions[0]
         # one fixed-point step away from the solution: alpha spread by 1e-3,
         # warm starts at the solution's thresholds and atoms
         mean = csol.alpha.mean
         alpha = g.make_grid_measure(mean + 1.001 * (csol.alpha.atoms - mean), csol.alpha.weights)
         rows = rows_counter(monkeypatch)
-        fn = g.monotone_rearrangement(csol.target, alpha, warm_thresholds=csol.fn.thresholds)
-        solves = [(rows.copy(), fn.thresholds.size)]
+        g.monotone_rearrangement(csol.target, alpha, warm_thresholds=csol.fn.thresholds)
+        solves = [rows.copy()]
         rows.update(dict.fromkeys(rows, 0))
-        g.update_alpha(csol.source, fn, warm_atoms=alpha.atoms)
-        solves.append((rows.copy(), csol.source.n))
-        for counts, targets in solves:
-            # one proxy fit per inversion, and few rows beyond its seeds
-            assert counts["fits"] == 1
-            assert counts["exact"] - counts["fit"] <= 1.2 * targets
-            assert counts["dense"] - counts["fit"] <= 1.2 * targets
-        # the verify sweep over every target fits itself at 1001 atoms: the
-        # CDF and SF halves of the rearrangement and the smoothed map each
-        # double once from the first degree; at 201 the cost rule keeps the
-        # halves (about 100 rows each) dense, and the smoothed map's 201 rows
-        # try degree 16, which does not certify, and cannot afford 32
-        fitted = [counts["sum_fits"] for counts, _ in solves]
-        assert fitted == ([4, 2] if csol.source.n == 1001 else [0, 1])
+        g.update_alpha(csol.source, csol.fn, warm_atoms=alpha.atoms)
+        solves.append(rows.copy())
+        # one certified fit per inversion, 69 to 93 dense rows here; beyond it,
+        # measured: no dense row for the rearrangement and the bracket's two
+        # for update_alpha, at both sizes
+        assert [counts["fits"] for counts in solves] == [1, 1]
+        assert [counts["dense"] for counts in solves] == [0, 2]
 
-    def test_single_target_builds_no_proxy(self, bench, monkeypatch):
+    def test_single_target_builds_no_fit(self, bench, monkeypatch):
         rows = rows_counter(monkeypatch)
         vol = g.sde_volatility(bench, 0, 0.5, 1.0)
         assert rows["fits"] == 0 and rows["exact"] > 0
@@ -788,7 +785,7 @@ class TestSmoothedValues:
         rows = rows_counter(monkeypatch)
         g.marginal_flow(bench_1001, 0.5)
         assert rows["exact"] == 12012
-        assert rows["sum_fits"] >= 1 and rows["sum_rows"] + rows["dense"] <= 2000
+        assert rows["fits"] >= 1 and rows["fit_rows"] + rows["dense"] <= 2000
 
 
 def fit_outcomes(monkeypatch) -> list:
