@@ -85,9 +85,9 @@ def build_marginals(config: dict, base_dir: Path) -> tuple[GridMeasure, GridMeas
     mu1 = build_marginal(config, "mu1", base_dir)
     gap = mu0.mean - mu1.mean
     if gap != 0.0:
-        if abs(gap) >= 1e-6:
-            raise ValueError(
-                f"marginal means differ by {gap:.3e}; refusing to correct more than 1e-6")
+        if abs(gap) >= 1e-6 * abs(mu0.mean):
+            raise ValueError(f"marginal means differ by {gap:.3e}; "
+                             "refusing to correct more than 1e-6 of the mean")
         shifted = mu1.atoms + gap
         if np.any(shifted <= 0):
             raise ValueError("mean correction would break positive support")

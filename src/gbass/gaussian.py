@@ -350,6 +350,8 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
     function: certified to 2^-48 of the dense formula, and on the dense
     formula itself for rows whose CDF or SF is at most 2^-20.
     """
+    if not s > 0:
+        raise ValueError(f"variance must be positive, got {s}")
     out = np.empty(cum.shape)
     lower = cum <= 0.5
     z = np.empty(cum.shape)
@@ -530,6 +532,8 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     bracket, within one dense row per target: both certified to 2^-48 * sum
     of jumps of the dense formula, and on it where the sum is at most 2^-20.
     """
+    if not s > 0:
+        raise ValueError(f"variance must be positive, got {s}")
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         return np.empty(y.shape)

@@ -51,17 +51,18 @@ def component_solution(gsol: GeometricSolution, component_index: int):
 def to_arithmetic(mu0: GridMeasure, mu1: GridMeasure) -> tuple[GridMeasure, GridMeasure, float]:
     """Reflect a positive convex-ordered pair into its arithmetic counterpart.
 
-    The convex order is verified on both sides; the verdicts must agree since
-    the reflection preserves the order.
+    The convex order, equal means included, is verified on both sides by
+    measures' one scale rule; the verdicts must agree since the reflection
+    preserves the order.
     """
     for name, mu in (("initial", mu0), ("terminal", mu1)):
         if not mu.positive_support:
             raise MeasureError(f"{name} marginal must have strictly positive support")
     m = mu0.mean
-    if abs(mu0.mean - mu1.mean) > 1e-9:
+    mu_report = check_convex_order(mu0, mu1)
+    if not mu_report.equal_means:
         raise MeasureError(
             f"marginal means differ: {mu0.mean!r} vs {mu1.mean!r}")
-    mu_report = check_convex_order(mu0, mu1)
     nu0 = reflect_measure(mu0, normalize=True)
     nu1 = reflect_measure(mu1, normalize=True)
     nu_report = check_convex_order(nu0, nu1)

@@ -4,6 +4,13 @@ Atomic measures with exact CDF/quantile access, potential functions,
 convex-order checks, decomposition into irreducible intervals, and the
 reciprocal reflection that swaps geometric and arithmetic martingale
 transport problems.
+
+Every test on a position, mean or potential of a pair holds to one scale
+rule, _tolerance (2^-40 of its largest |atom|, what a mean or potential of
+those atoms resolves), so verdicts follow a price scale x -> cx. The mass
+checks keep literals (the deficit's 1e-9, solve_component's static 1e-12):
+masses are dimensionless, no price scale moves them, and the scale oracle
+of tests/test_paper_claims.py passes with them.
 """
 
 from __future__ import annotations
@@ -12,11 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-MEAN_TOLERANCE = 1e-9
-ORDER_TOLERANCE = 1e-9
-DECOMPOSITION_TOLERANCE = 1e-9
-
 
 class MeasureError(ValueError):
     """Invalid measure construction or operation input."""
@@ -169,17 +171,24 @@ class OrderReport:
     mean: float
 
 
+def _tolerance(eta: GridMeasure, rho: GridMeasure) -> float:
+    """2^-40 of the pair's largest |atom|: what a mean or potential of those atoms resolves."""
+    return 2.0 ** -40 * float(max(np.abs(eta.atoms).max(), np.abs(rho.atoms).max()))
+
+
 def check_convex_order(eta: GridMeasure, rho: GridMeasure) -> OrderReport:
     """Decide eta <=_cx rho by comparing potentials on the union of atoms.
 
     Potentials of atomic measures are piecewise linear with kinks only at
-    atoms, so the pointwise comparison on the union grid is exact.
+    atoms, so the pointwise comparison on the union grid is exact. Means
+    count as equal, and a potential excess as no violation, within the
+    pair's _tolerance.
     """
+    tol = _tolerance(eta, rho)
     grid = np.union1d(eta.atoms, rho.atoms)
     violation = float(np.max(potential(eta, grid) - potential(rho, grid)))
-    equal_means = abs(eta.mean - rho.mean) <= MEAN_TOLERANCE
-    ok = bool(violation <= ORDER_TOLERANCE and equal_means)
-    return OrderReport(ok, violation, equal_means, eta.mean)
+    equal_means = bool(abs(eta.mean - rho.mean) <= tol)
+    return OrderReport(violation <= tol and equal_means, violation, equal_means, eta.mean)
 
 
 @dataclass(frozen=True)
@@ -200,7 +209,7 @@ class ComponentDecomposition:
 def _component_intervals(nu0: GridMeasure, nu1: GridMeasure) -> list[tuple[float, float]]:
     grid = np.union1d(nu0.atoms, nu1.atoms)
     gap = potential(nu1, grid) - potential(nu0, grid)
-    run = np.diff(np.concatenate([[0], (gap > DECOMPOSITION_TOLERANCE).astype(int), [0]]))
+    run = np.diff(np.concatenate([[0], (gap > _tolerance(nu0, nu1)).astype(int), [0]]))
     first, last = np.flatnonzero(run == 1), np.flatnonzero(run == -1) - 1
     # a run of positive gap ends at the neighbouring grid point (or the grid's
     # own end), or at the interpolated zero crossing when rounding left that
@@ -216,14 +225,13 @@ def _component_intervals(nu0: GridMeasure, nu1: GridMeasure) -> list[tuple[float
     return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _near(x: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j), sorted, with |x[i] - points[j]| <= 1e-12 max(1, |x[i]|); points sorted."""
-    tol = 1e-12 * np.maximum(1.0, np.abs(x))
+def _near(x: np.ndarray, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), sorted, with |x[i] - points[j]| <= tol (the pair's _tolerance); points sorted."""
     start = np.searchsorted(points, x - 2.0 * tol)
     count = np.searchsorted(points, x + 2.0 * tol, side="right") - start
     i = np.repeat(np.arange(x.size), count)
     j = np.arange(i.size) + np.repeat(start - np.cumsum(count) + count, count)
-    hit = np.abs(x[i] - points[j]) <= tol[i]
+    hit = np.abs(x[i] - points[j]) <= tol
     return i[hit], j[hit]
 
 
@@ -238,16 +246,16 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     """Split a convex-ordered pair into irreducible intervals plus the static set.
 
     Components are the maximal open intervals where the potential of nu1
-    exceeds that of nu0 by more than DECOMPOSITION_TOLERANCE. An atom strictly
+    exceeds that of nu0 by more than the pair's _tolerance. An atom strictly
     inside an interval belongs to its component; other nu0 atoms are static.
     An nu1 atom outside every interval keeps back the static nu0 mass within
-    1e-12 max(1, |x|) of it, and only the excess moves: all of it to an
+    that tolerance of it, and only the excess moves: all of it to an
     interval with an end that close; on an end shared by two intervals (last,
     in increasing x) min(excess, max(deficit, 0)) to the left component, whose
     deficit is the nu0 mass it still misses, and the rest to the right one;
     else (shoulder mass, where the gap dips below the tolerance) to the
-    nearest interval. A deficit above 1e-9 left in any component raises
-    MeasureError.
+    nearest interval. A deficit above 1e-9 (a mass, so no scale) left in any
+    component raises MeasureError.
     """
     report = check_convex_order(nu0, nu1)
     if not report.in_convex_order:
@@ -267,12 +275,13 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     static = label0 == k
 
     inside = label1 < k
-    i, j = _near(x, nu0.atoms[static])
+    tol = _tolerance(nu0, nu1)
+    i, j = _near(x, nu0.atoms[static], tol)
     kept = np.bincount(i, nu0.weights[static][j], minlength=x.size)  # static nu0 mass at x
     excess = np.where(inside, w, np.maximum(w - kept, 0.0))
     left, right = np.full(x.size, -1), np.full(x.size, -1)
     for found, ends in ((left, his), (right, los)):
-        i, j = _near(x, ends)
+        i, j = _near(x, ends, tol)
         rows, first = np.unique(i, return_index=True)
         found[rows] = j[first]
     after = np.searchsorted(his, x)  # the interval right of a shoulder atom

@@ -96,10 +96,12 @@ def lognormal_zgrid(meanlog: float, sdlog: float, n: int, zmax: float):
     return pm / p, p
 
 
-def sequential_decomposition(grid, gap, atoms0, weights0, atoms1, weights1, tol=1e-9):
+def sequential_decomposition(grid, gap, atoms0, weights0, atoms1, weights1, tol):
     """Atom-by-atom reference of the interval and assignment rules of irreducible_components.
 
-    Takes the potential gap of the pair on the union grid of its atoms.
+    Takes the potential gap of the pair on the union grid of its atoms, and
+    the pair's tolerance (2^-40 of its largest |atom|), which judges both a
+    positive gap and an nu1 atom's closeness to a point.
     Returns the intervals, each component's (nu0 atoms, nu0 weights, nu1
     atoms, nu1 weights) as lists, the static nu0 atoms and weights, and the
     largest absolute mass deficit left in a component.
@@ -127,7 +129,7 @@ def sequential_decomposition(grid, gap, atoms0, weights0, atoms1, weights1, tol=
         return next((c for c, (lo, hi) in enumerate(intervals) if lo < x < hi), -1)
 
     def close(x, e):
-        return abs(x - e) <= 1e-12 * max(1.0, abs(x))
+        return abs(x - e) <= tol
 
     parts = [([], [], [], []) for _ in intervals]
     static = ([], [])

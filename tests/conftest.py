@@ -97,3 +97,19 @@ def dilate(mu: g.GridMeasure, rng: np.random.Generator,
     atoms = np.concatenate([mu.atoms - d, mu.atoms + d])
     weights = np.concatenate([mu.weights / 2, mu.weights / 2])
     return g.make_grid_measure(atoms, weights)
+
+
+FUZZ_SPREADS = (1e-6, 1e-4, 0.02, 0.3, 0.6, 0.9)
+
+
+def fuzz_pair(spread: float, index: int):
+    """Pair `index` at `spread` of the dilation fuzz: one default_rng(11), 25
+    pairs per spread, drawn in the order of FUZZ_SPREADS."""
+    rng = np.random.default_rng(11)
+    for s in FUZZ_SPREADS:
+        for i in range(25):
+            mu0 = random_positive_measure(rng, 40)
+            mu1 = dilate(mu0, rng, s)
+            if (s, i) == (spread, index):
+                return mu0, mu1
+    raise ValueError(f"no fuzz pair {index} at spread {spread}")

@@ -79,6 +79,26 @@ def test_sde_component_index_out_of_range_is_an_input_error(tmp_path, capsys, in
     assert err.startswith("invalid input: component_index") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-8])
+@pytest.mark.parametrize("mu1_atoms, code", [([0.5, 1.5 + 1.5e-7], 0), ([0.9, 1.3], 2)],
+                         ids=["small-gap", "large-gap"])
+def test_mean_gap_is_corrected_below_1e_6_of_the_mean(tmp_path, capsys, scale, mu1_atoms, code):
+    # mu1's mean is 1 + 7.5e-8 or 1.1 times mu0's: the first is shifted onto
+    # mu0's mean, the second refused naming the gap, at either price scale
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mu0": {"atoms": [scale], "weights": [1.0]},
+        "mu1": {"atoms": [a * scale for a in mu1_atoms], "weights": [0.5, 0.5]}}))
+    assert cli.run(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"invalid input: marginal means differ by {-0.1 * scale:.3e}")
+    else:
+        assert err == ""
+        mu0, mu1 = cli.build_marginals(json.loads(config.read_text()), tmp_path)
+        assert mu1.mean == pytest.approx(mu0.mean, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("where", ["option", "config"])
 def test_seed_outside_uint64_is_an_input_error(tmp_path, capsys, seed, where):

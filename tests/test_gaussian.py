@@ -117,14 +117,15 @@ class TestSmoothedQuantile:
         assert abs(smoothed_sf(alpha, 1.0, x) - tail) < 1e-12 * 1e-2 + 1e-15
 
     def test_rejects_zero_variance_with_enough_levels_to_fit(self):
-        # 100 atoms and 80 levels reach the inversion's fit, which a zero
-        # variance must not: the dense path refuses it
+        # 100 atoms and 80 levels reach the inversion's fit, which a variance
+        # that is not positive must not, nor a square root of it
         alpha = g.make_grid_measure(np.linspace(-1.0, 1.0, 100), np.ones(100))
-        with pytest.raises(ValueError, match="variance"):
-            g.smoothed_quantile(alpha, 0.0, np.linspace(0.01, 0.99, 80))
         fn = g.StepFn(alpha.atoms, np.arange(101.0))
-        with pytest.raises(ValueError, match="variance"):
-            heat_convolve_inverse(fn, 0.0, np.linspace(1.0, 99.0, 80), 1e-12)
+        for s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="variance"):
+                g.smoothed_quantile(alpha, s, np.linspace(0.01, 0.99, 80))
+            with pytest.raises(ValueError, match="variance"):
+                heat_convolve_inverse(fn, s, np.linspace(1.0, 99.0, 80), 1e-12)
 
     def test_rejects_boundary(self):
         alpha = g.make_grid_measure([0.0], [1.0])

@@ -260,7 +260,7 @@ class TestComponents:
 
     def test_static_mass_an_ulp_away_stays(self):
         # the nu1 atom an ulp above the static nu0 atom at 3 is matched by it
-        # within the 1e-12 point tolerance, so nothing there moves
+        # within the pair's tolerance (2^-40 * 5.5), so nothing there moves
         above = np.nextafter(3.0, 4.0)
         nu0 = g.make_grid_measure([1.0, 3.0, 5.0], [1.0, 1.0, 1.0])
         nu1 = g.make_grid_measure([0.5, 1.5, above, 4.5, 5.5], [0.5, 0.5, 1.0, 0.5, 0.5])
@@ -271,9 +271,10 @@ class TestComponents:
                                                                               [4.5, 5.5]]
 
     def test_shoulder_atom_joins_nearest_interval(self):
-        # the 1e-9 atoms at 1.75 and 4.25 lift the gap by only 2.5e-10 beyond
-        # the interval ends, so they sit outside both intervals
-        p, q, r = 0.5 + 2.5e-10, 0.5 - 1.25e-9, 1e-9
+        # the 1e-12 atoms at 1.75 and 4.25 lift the gap by only 2.5e-13 beyond
+        # the interval ends, below the pair's tolerance (2^-40 * 5.5 = 5.0e-12),
+        # so they sit outside both intervals
+        p, q, r = 0.5 + 2.5e-13, 0.5 - 1.25e-12, 1e-12
         nu0 = g.make_grid_measure([1.0, 5.0], [0.5, 0.5])
         nu1 = g.make_grid_measure([0.5, 1.5, 1.75, 4.25, 4.5, 5.5], [p, q, r, r, q, p])
         dec = g.irreducible_components(nu0, nu1)
@@ -299,8 +300,9 @@ class TestComponents:
                                       g.reflect_measure(mu1, normalize=True))):
             grid = np.union1d(nu0.atoms, nu1.atoms)
             gap = g.potential(nu1, grid) - g.potential(nu0, grid)
+            tol = 2.0 ** -40 * np.max(np.abs(grid))
             intervals, parts, static, deficit = sequential_decomposition(
-                grid, gap, nu0.atoms, nu0.weights, nu1.atoms, nu1.weights)
+                grid, gap, nu0.atoms, nu0.weights, nu1.atoms, nu1.weights, tol)
             if deficit > 1e-9:
                 with pytest.raises(MeasureError, match="mass balance"):
                     g.irreducible_components(nu0, nu1)
