@@ -17,8 +17,8 @@ from .gaussian import gauss_hermite, heat_convolve_inverse
 from .measures import (
     GridMeasure,
     MeasureError,
-    check_convex_order,
-    irreducible_components,
+    _component_intervals,
+    _potential_gap,
     make_grid_measure,
     reflect_measure,
 )
@@ -51,21 +51,22 @@ def component_solution(gsol: GeometricSolution, component_index: int):
 def to_arithmetic(mu0: GridMeasure, mu1: GridMeasure) -> tuple[GridMeasure, GridMeasure, float]:
     """Reflect a positive convex-ordered pair into its arithmetic counterpart.
 
-    The convex order, equal means included, is verified on both sides by
-    measures' one scale rule; the verdicts must agree since the reflection
-    preserves the order.
+    Each side's potential gap is built once. On it the convex order, equal
+    means included, is verified by measures' one scale rule, and the sides must
+    agree on the verdict and on the components J = m / I (as many, each pair
+    overlapping): else a RuntimeError is raised, before any solve.
     """
     for name, mu in (("initial", mu0), ("terminal", mu1)):
         if not mu.positive_support:
             raise MeasureError(f"{name} marginal must have strictly positive support")
     m = mu0.mean
-    mu_report = check_convex_order(mu0, mu1)
+    mu_report, *mu_gap = _potential_gap(mu0, mu1)
     if not mu_report.equal_means:
         raise MeasureError(
             f"marginal means differ: {mu0.mean!r} vs {mu1.mean!r}")
     nu0 = reflect_measure(mu0, normalize=True)
     nu1 = reflect_measure(mu1, normalize=True)
-    nu_report = check_convex_order(nu0, nu1)
+    nu_report, *nu_gap = _potential_gap(nu0, nu1)
     if mu_report.in_convex_order != nu_report.in_convex_order:
         raise RuntimeError(
             "internal consistency failure: convex-order verdicts disagree "
@@ -74,27 +75,8 @@ def to_arithmetic(mu0: GridMeasure, mu1: GridMeasure) -> tuple[GridMeasure, Grid
     if not mu_report.in_convex_order:
         raise MeasureError(
             f"marginals are not in convex order (violation {mu_report.max_violation:.3e})")
-    return nu0, nu1, m
-
-
-def solve_geometric(mu0: GridMeasure, mu1: GridMeasure,
-                    params: SolverParams | None = None) -> GeometricSolution:
-    """Solve the geometric problem through its arithmetic reduction.
-
-    The interval map J = m / I is cross-checked against an independently
-    computed decomposition of the price-side pair.
-    """
-    nu0, nu1, m = to_arithmetic(mu0, mu1)
-    bass = solve_decomposed(nu0, nu1, params)
-
-    comp_map = []
-    for comp in bass.decomposition.components:
-        lo, hi = comp.interval
-        comp_map.append(((lo, hi), (m / hi, m / lo)))
-
-    mu_decomp = irreducible_components(mu0, mu1)
-    mu_intervals = sorted(c.interval for c in mu_decomp.components)
-    mapped = sorted(j for _, j in comp_map)
+    mu_intervals = _component_intervals(*mu_gap)
+    mapped = sorted((m / hi, m / lo) for lo, hi in _component_intervals(*nu_gap))
     if len(mu_intervals) != len(mapped):
         raise RuntimeError(
             "internal consistency failure: component counts differ between "
@@ -106,7 +88,19 @@ def solve_geometric(mu0: GridMeasure, mu1: GridMeasure,
             raise RuntimeError(
                 "internal consistency failure: mapped component "
                 f"({a}, {b}) does not overlap price-side interval ({c}, {d})")
+    return nu0, nu1, m
 
+
+def solve_geometric(mu0: GridMeasure, mu1: GridMeasure,
+                    params: SolverParams | None = None) -> GeometricSolution:
+    """Solve the geometric problem through its arithmetic reduction.
+
+    to_arithmetic has checked J = m / I before the solve; component_map holds each (I, J).
+    """
+    nu0, nu1, m = to_arithmetic(mu0, mu1)
+    bass = solve_decomposed(nu0, nu1, params)
+    comp_map = [((lo, hi), (m / hi, m / lo))
+                for lo, hi in (c.interval for c in bass.decomposition.components)]
     return GeometricSolution(m, mu0, mu1, nu0, nu1, bass, comp_map)
 
 

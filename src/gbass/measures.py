@@ -3,14 +3,15 @@
 Atomic measures with exact CDF/quantile access, potential functions,
 convex-order checks, decomposition into irreducible intervals, and the
 reciprocal reflection that swaps geometric and arithmetic martingale
-transport problems.
+transport problems. One potential gap per pair gives both the convex-order
+verdict and the irreducible intervals (Beiglboeck & Juillet, Ann. Probab. 2016).
 
 Every test on a position, mean or potential of a pair holds to one scale
-rule, _tolerance (2^-40 of its largest |atom|, what a mean or potential of
-those atoms resolves), so verdicts follow a price scale x -> cx. The mass
-checks keep literals (the deficit's 1e-9, solve_component's static 1e-12):
-masses are dimensionless, no price scale moves them, and the scale oracle
-of tests/test_paper_claims.py passes with them.
+rule, the tol of _potential_gap (2^-40 of its largest |atom|, what a mean or
+potential of those atoms resolves), so verdicts follow a price scale
+x -> cx. The mass checks keep literals (the deficit's 1e-9, solve_component's
+static 1e-12): masses are dimensionless, no price scale moves them, and the
+scale oracle of tests/test_paper_claims.py passes with them.
 """
 
 from __future__ import annotations
@@ -171,24 +172,28 @@ class OrderReport:
     mean: float
 
 
-def _tolerance(eta: GridMeasure, rho: GridMeasure) -> float:
-    """2^-40 of the pair's largest |atom|: what a mean or potential of those atoms resolves."""
-    return 2.0 ** -40 * float(max(np.abs(eta.atoms).max(), np.abs(rho.atoms).max()))
+def _potential_gap(eta: GridMeasure, rho: GridMeasure):
+    """The pair's OrderReport, its union grid of atoms, the gap potential(rho) -
+    potential(eta) on that grid, and the pair's tolerance tol: 2^-40 of its
+    largest |atom|, what a mean or potential of those atoms resolves."""
+    grid = np.union1d(eta.atoms, rho.atoms)
+    tol = 2.0 ** -40 * float(np.abs(grid[[0, -1]]).max())  # the largest |atom| is an end
+    gap = potential(rho, grid) - potential(eta, grid)
+    violation = float(0.0 - gap.min())  # max(-gap), with +0.0 where the gap is 0
+    equal_means = bool(abs(eta.mean - rho.mean) <= tol)
+    report = OrderReport(violation <= tol and equal_means, violation, equal_means, eta.mean)
+    return report, grid, gap, tol
 
 
 def check_convex_order(eta: GridMeasure, rho: GridMeasure) -> OrderReport:
-    """Decide eta <=_cx rho by comparing potentials on the union of atoms.
+    """Decide eta <=_cx rho from the potential gap on the union of atoms.
 
     Potentials of atomic measures are piecewise linear with kinks only at
     atoms, so the pointwise comparison on the union grid is exact. Means
     count as equal, and a potential excess as no violation, within the
-    pair's _tolerance.
+    pair's tolerance.
     """
-    tol = _tolerance(eta, rho)
-    grid = np.union1d(eta.atoms, rho.atoms)
-    violation = float(np.max(potential(eta, grid) - potential(rho, grid)))
-    equal_means = bool(abs(eta.mean - rho.mean) <= tol)
-    return OrderReport(violation <= tol and equal_means, violation, equal_means, eta.mean)
+    return _potential_gap(eta, rho)[0]
 
 
 @dataclass(frozen=True)
@@ -206,10 +211,8 @@ class ComponentDecomposition:
     components: list[MeasureComponent] = field(default_factory=list)
 
 
-def _component_intervals(nu0: GridMeasure, nu1: GridMeasure) -> list[tuple[float, float]]:
-    grid = np.union1d(nu0.atoms, nu1.atoms)
-    gap = potential(nu1, grid) - potential(nu0, grid)
-    run = np.diff(np.concatenate([[0], (gap > _tolerance(nu0, nu1)).astype(int), [0]]))
+def _component_intervals(grid: np.ndarray, gap: np.ndarray, tol: float) -> list[tuple[float, float]]:
+    run = np.diff(np.concatenate([[0], (gap > tol).astype(int), [0]]))
     first, last = np.flatnonzero(run == 1), np.flatnonzero(run == -1) - 1
     # a run of positive gap ends at the neighbouring grid point (or the grid's
     # own end), or at the interpolated zero crossing when rounding left that
@@ -226,7 +229,7 @@ def _component_intervals(nu0: GridMeasure, nu1: GridMeasure) -> list[tuple[float
 
 
 def _near(x: np.ndarray, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j), sorted, with |x[i] - points[j]| <= tol (the pair's _tolerance); points sorted."""
+    """Pairs (i, j), sorted, with |x[i] - points[j]| <= tol (the pair's tolerance); points sorted."""
     start = np.searchsorted(points, x - 2.0 * tol)
     count = np.searchsorted(points, x + 2.0 * tol, side="right") - start
     i = np.repeat(np.arange(x.size), count)
@@ -246,7 +249,7 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     """Split a convex-ordered pair into irreducible intervals plus the static set.
 
     Components are the maximal open intervals where the potential of nu1
-    exceeds that of nu0 by more than the pair's _tolerance. An atom strictly
+    exceeds that of nu0 by more than the pair's tolerance. An atom strictly
     inside an interval belongs to its component; other nu0 atoms are static.
     An nu1 atom outside every interval keeps back the static nu0 mass within
     that tolerance of it, and only the excess moves: all of it to an
@@ -257,13 +260,13 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     nearest interval. A deficit above 1e-9 (a mass, so no scale) left in any
     component raises MeasureError.
     """
-    report = check_convex_order(nu0, nu1)
+    report, grid, gap, tol = _potential_gap(nu0, nu1)
     if not report.in_convex_order:
         raise MeasureError(
             "measures are not in convex order "
             f"(max potential violation {report.max_violation:.3e}, "
             f"equal means: {report.equal_means})")
-    intervals = _component_intervals(nu0, nu1)
+    intervals = _component_intervals(grid, gap, tol)
     k = len(intervals)
     los, his = np.array(intervals).reshape(-1, 2).T
     x, w = nu1.atoms, nu1.weights
@@ -275,7 +278,6 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     static = label0 == k
 
     inside = label1 < k
-    tol = _tolerance(nu0, nu1)
     i, j = _near(x, nu0.atoms[static], tol)
     kept = np.bincount(i, nu0.weights[static][j], minlength=x.size)  # static nu0 mass at x
     excess = np.where(inside, w, np.maximum(w - kept, 0.0))

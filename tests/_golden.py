@@ -4,9 +4,10 @@
     PYTHONPATH=src python tests/_golden.py compare a.npz b.npz [BOUND [GLOB=BOUND ...]]
 
 ``write`` solves the benchmark's lognormal pair at 201 and at 1001 atoms and
-stores, per grid size: the solved alpha and thresholds, the value report,
-the marginal flows at t in FLOW_TIMES, the volatilities at VOL_POINTS, and
-the weighted and SDE paths (PATHS paths x STEPS steps, seed SEED).
+stores, per grid size: the solved alpha and thresholds, each field of the
+value report as its own array (``value_report/<field>``), the marginal flows
+at t in FLOW_TIMES, the volatilities at VOL_POINTS, and the weighted and SDE
+paths (PATHS paths x STEPS steps, seed SEED).
 ``compare`` prints, per array, the largest relative difference
 |a - b| / max(|a|, |b|), with 0 where both are 0, and next to it the largest
 absolute difference |a - b|, which judges arrays with entries near 0 (an atom
@@ -20,8 +21,10 @@ the rest. A golden check is one command: ``compare parent.npz change.npz 0``
 asks for equal values, ``compare parent.npz change.npz 1e-12`` for the
 1e-12 that merged or deleted internals may move them by, and
 ``compare parent.npz change.npz 0 '*/vols=1e-11'`` for equal values except
-the volatilities, which may move by 1e-11. Not a test module: pytest does
-not collect it.
+the volatilities, which may move by 1e-11. A solver change that moves only
+the duality gap, about 1e-13 and so relatively loose, waives it alone with
+``'*/value_report/duality_gap=1'``. Not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ def goldens(grid_size: int) -> dict[str, np.ndarray]:
     gsol = solve(grid_size)
     csol = gsol.arithmetic.component_solutions[0]
     report = g.make_value_report(gsol, SIGMA, SIGMA)
-    out = {"alpha": csol.alpha.atoms, "thresholds": csol.fn.thresholds,
-           "value_report": np.array(list(report.to_dict().values()))}
+    out = {"alpha": csol.alpha.atoms, "thresholds": csol.fn.thresholds}
+    for field, value in report.to_dict().items():
+        out[f"value_report/{field}"] = np.array(value)
     for t in FLOW_TIMES:
         flow = g.marginal_flow(gsol, t)
         out[f"flow_{t}_atoms"], out[f"flow_{t}_weights"] = flow.atoms, flow.weights
@@ -84,16 +88,16 @@ def compare(a, b, bound: float | None = None,
     failed = []
     for key in sorted(set(a.files) | set(b.files)):
         if key not in a.files or key not in b.files:
-            print(f"{key:32s} only in {'the first' if key in a.files else 'the second'}")
+            print(f"{key:40s} only in {'the first' if key in a.files else 'the second'}")
             failed.append(key)
         elif a[key].shape != b[key].shape:
-            print(f"{key:32s} shapes differ: {a[key].shape} vs {b[key].shape}")
+            print(f"{key:40s} shapes differ: {a[key].shape} vs {b[key].shape}")
             failed.append(key)
         else:
             diff = relative_difference(a[key], b[key])
             limit = next((lim for glob, lim in bounds or () if fnmatchcase(key, glob)), bound)
             absolute = float(np.max(np.abs(a[key] - b[key]), initial=0.0))
-            print(f"{key:32s} {diff:.3e}  abs {absolute:.3e}")
+            print(f"{key:40s} {diff:.3e}  abs {absolute:.3e}")
             if limit is not None and not diff <= limit:  # NaN fails too
                 failed.append(f"{key} (bound {limit:g})")
     if bound is None or not failed:

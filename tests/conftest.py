@@ -102,14 +102,19 @@ def dilate(mu: g.GridMeasure, rng: np.random.Generator,
 FUZZ_SPREADS = (1e-6, 1e-4, 0.02, 0.3, 0.6, 0.9)
 
 
-def fuzz_pair(spread: float, index: int):
-    """Pair `index` at `spread` of the dilation fuzz: one default_rng(11), 25
+def fuzz_pairs(seed: int = 11):
+    """The dilation fuzz of default_rng(seed), as (spread, index, mu0, mu1): 25
     pairs per spread, drawn in the order of FUZZ_SPREADS."""
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     for s in FUZZ_SPREADS:
         for i in range(25):
             mu0 = random_positive_measure(rng, 40)
-            mu1 = dilate(mu0, rng, s)
-            if (s, i) == (spread, index):
-                return mu0, mu1
+            yield s, i, mu0, dilate(mu0, rng, s)
+
+
+def fuzz_pair(spread: float, index: int):
+    """Pair `index` at `spread` of the default_rng(11) dilation fuzz."""
+    for s, i, mu0, mu1 in fuzz_pairs():
+        if (s, i) == (spread, index):
+            return mu0, mu1
     raise ValueError(f"no fuzz pair {index} at spread {spread}")

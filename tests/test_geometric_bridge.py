@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 import gbass as g
-from gbass import gaussian
+from gbass import cli, gaussian, geometric_bridge, measures
 
 SIGMA = math.sqrt(0.12)
 
@@ -135,3 +136,42 @@ def test_component_index_out_of_range_raises(bench_201, index):
         g.sde_volatility(bench_201, index, 0.5, 1.0)
     with pytest.raises(ValueError, match="component_index"):
         g.simulate_geometric_sde(bench_201, index, 2, 3, 0)
+
+
+def terminal_reflects_to(nu1):
+    """reflect_measure, except that the four-atom terminal marginal reflects to nu1."""
+    return lambda mu, normalize: nu1 if mu.n == 4 else g.reflect_measure(mu, normalize)
+
+
+def shifted_right(grid, gap, tol):
+    """Each interval moved right by its width: x -> m / x turns the move on the
+    arithmetic side into one to the left, so no mapped interval meets its partner."""
+    return [(hi, 2.0 * hi - lo) for lo, hi in measures._component_intervals(grid, gap, tol)]
+
+
+@pytest.mark.parametrize("message, name, fake", [
+    ("verdicts disagree", "reflect_measure", terminal_reflects_to(g.make_grid_measure([1.0], [1.0]))),
+    ("component counts differ", "reflect_measure",
+     terminal_reflects_to(g.make_grid_measure([0.25, 4.0], [0.8, 0.2]))),
+    ("does not overlap", "_component_intervals", shifted_right),
+], ids=["verdicts", "counts", "overlap"])
+def test_inconsistent_reflection_is_refused_before_the_solve(tmp_path, monkeypatch, capsys,
+                                                             message, name, fake):
+    # (delta_1 + delta_3) / 2 to (delta_0.8 + delta_1.2 + delta_2.7 + delta_3.3) / 4
+    atoms0, atoms1 = [1.0, 3.0], [0.8, 1.2, 2.7, 3.3]
+    mu0, mu1 = g.make_grid_measure(atoms0, [0.5] * 2), g.make_grid_measure(atoms1, [0.25] * 4)
+    assert g.to_arithmetic(mu0, mu1)[2] == 2.0  # consistent until patched
+
+    def no_solve(*args):
+        raise AssertionError("solve_decomposed entered")
+
+    monkeypatch.setattr(geometric_bridge, name, fake)
+    monkeypatch.setattr(geometric_bridge, "solve_decomposed", no_solve)
+    with pytest.raises(RuntimeError, match=message):
+        g.solve_geometric(mu0, mu1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mu0": {"atoms": atoms0, "weights": [0.5] * 2},
+                                  "mu1": {"atoms": atoms1, "weights": [0.25] * 4}}))
+    assert cli.run(["transform", "--config", str(config), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: ") and message in err

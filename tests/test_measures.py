@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gbass as g
-from gbass.measures import MeasureError, _component_intervals
+from gbass.measures import MeasureError, _component_intervals, _potential_gap
 from conftest import dilate, random_positive_measure
 from _oracles import sequential_decomposition
 
@@ -433,5 +433,5 @@ def test_component_interval_interpolation():
     # the gap function crosses zero strictly between atoms here
     nu0 = g.make_grid_measure([1.0], [1.0])
     nu1 = g.make_grid_measure([0.5, 1.5], [0.5, 0.5])
-    intervals = _component_intervals(nu0, nu1)
+    intervals = _component_intervals(*_potential_gap(nu0, nu1)[1:])
     assert intervals == [(0.5, 1.5)]

@@ -4,7 +4,9 @@ GBM is both an arithmetic and a geometric Bass martingale: for the lognormal
 price pair its value surface is F_t(x) = c_t exp(sigma x), so F_t' / F_t is
 the constant sigma, whether the pair is solved as it stands or reflected
 into the arithmetic problem of the geometric one. And the geometric problem
-does not change under a price scale S -> cS, so neither may its solve.
+does not change under a price scale S -> cS, so neither may its solve. The
+reflection x -> m / x maps the arithmetic components I onto the price-side
+ones J = m / I, which to_arithmetic checks before any solve.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 
 import gbass as g
 from gbass.cli import build_marginals
-from conftest import fuzz_pair
+from conftest import fuzz_pair, fuzz_pairs
 
 SIGMA = math.sqrt(0.12)
 TIMES = (0.25, 0.5, 0.75)
@@ -74,3 +76,13 @@ def test_the_solve_is_invariant_under_a_price_scale(bench_201, fuzz):
         got_count, got_static, got_primal = scaled_solve(mu0, mu1, c)
         assert (got_count, got_static) == (count, static)
         assert abs(got_primal / primal - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("seed, components", [(11, 1370), (12, 1563), (13, 1592)])
+def test_the_reflection_maps_components_onto_components(seed, components):
+    # to_arithmetic raises unless each I maps to an overlapping J = m / I; no pair is solved
+    total = 0
+    for *_, mu0, mu1 in fuzz_pairs(seed):
+        nu0, nu1, _ = g.to_arithmetic(mu0, mu1)
+        total += len(g.irreducible_components(nu0, nu1).components)
+    assert total == components
