@@ -139,8 +139,6 @@ def monotone_rearrangement(nu1: GridMeasure, alpha: GridMeasure,
     its level on the inversion's certified fit of the mixture CDF (see
     mixture_quantiles).
     """
-    if nu1.n == 1:
-        return StepFn([], nu1.atoms)
     thr = mixture_quantiles(alpha, 1.0, nu1.cum_weights[:-1], nu1.tail_weights[:-1],
                             x0=warm_thresholds)
     # repair rounding-level ties so the step representation stays strict: on
@@ -181,8 +179,6 @@ def _terminal_level_masses(fn: StepFn, alpha: GridMeasure) -> np.ndarray:
     mixture CDF and masses above it differences of its survival function, so
     tail masses keep their relative accuracy and the top one is not 1 - CDF.
     """
-    if fn.thresholds.size == 0:
-        return np.array([1.0])
     below = np.concatenate([[0.0], smoothed_cdf(alpha, 1.0, fn.thresholds)])
     k = np.count_nonzero(below[1:] <= 0.5)
     above = np.concatenate([smoothed_sf(alpha, 1.0, fn.thresholds[k:]), [0.0]])

@@ -106,12 +106,11 @@ def _write_json(path: Path, payload: dict) -> None:
 def _solution_payload(gsol: GeometricSolution) -> dict:
     decomp = gsol.arithmetic.decomposition
     components = []
-    for comp, csol, (interval, image) in zip(decomp.components,
-                                             gsol.arithmetic.component_solutions,
-                                             gsol.component_map):
+    for comp, csol in zip(decomp.components, gsol.arithmetic.component_solutions):
+        lo, hi = comp.interval
         components.append({
-            "interval": list(interval),
-            "geometric_interval": list(image),
+            "interval": [lo, hi],
+            "geometric_interval": [gsol.m / hi, gsol.m / lo],
             "mass": comp.mass,
             "alpha": csol.alpha.to_dict(),
             "source": csol.source.to_dict(),

@@ -34,8 +34,6 @@ def max_covariance_smoothed(eta: GridMeasure, alpha: GridMeasure, s: float) -> f
     so the u-integral reduces to Gaussian partial means between the smoothed
     quantiles at those levels; no quadrature error beyond root finding.
     """
-    if s <= 0:
-        raise ValueError(f"variance must be positive, got {s}")
     return _comonotone_covariance(
         eta, alpha, s, mixture_quantiles(alpha, s, eta.cum_weights[:-1], eta.tail_weights[:-1]))
 

@@ -53,20 +53,20 @@ _TAIL_Z = float(ndtri(2.0 ** -60))
 
 
 def gauss_pdf(x, s: float = 1.0):
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
     x = np.asarray(x, dtype=float)
     return np.exp(-x * x / (2.0 * s)) / np.sqrt(2.0 * np.pi * s)
 
 
 def gauss_cdf(x, s: float = 1.0):
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
     return ndtr(np.asarray(x, dtype=float) / np.sqrt(s))
 
 
 def gauss_quantile(u, s: float = 1.0):
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0) | (u >= 1)):
@@ -165,7 +165,7 @@ def smoothed_cdf(alpha: GridMeasure, s: float, x):
 
     By _gauss_sum: within 2^-48 of the dense formula, and on it where <= 2^-20.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
     x = np.asarray(x, dtype=float)
     out = _gauss_sum(x, alpha.atoms, alpha.weights, s)
@@ -177,7 +177,7 @@ def smoothed_sf(alpha: GridMeasure, s: float, x):
 
     The CDF of the reflected mixture, with smoothed_cdf's accuracy.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
     x = np.asarray(x, dtype=float)
     # P(X > x) = P(-X < -x): the CDF sweep of the reflected mixture
@@ -406,7 +406,7 @@ class MonotoneFn:
     def _hermite(self, s: float, x, n_nodes: int, deriv: bool):
         # for the slope, integration by parts against the Gaussian puts the
         # derivative on the kernel, so step discontinuities are handled too
-        if s < 0 or deriv and s == 0:
+        if not (s > 0 if deriv else s >= 0):
             raise ValueError(f"variance must be {'positive' if deriv else 'nonnegative'}, got {s}")
         x = np.asarray(x, dtype=float)
         if s == 0:
@@ -456,22 +456,19 @@ class StepFn(MonotoneFn):
         float64 is the bound itself, so neighbouring points can tie;
         `heat_convolve_deriv` is the form in which strictness stays visible.
         """
-        if s < 0:
+        if not s >= 0:
             raise ValueError(f"variance must be nonnegative, got {s}")
         x = np.asarray(x, dtype=float)
-        if s == 0 or self.thresholds.size == 0:
+        if s == 0:
             return self(x)
         out = self.levels[0] + _gauss_sum(x, self.thresholds, self.jumps, s)
         return float(out[0]) if x.ndim == 0 else out
 
     def heat_convolve_deriv(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
-        if s <= 0:
+        if not s > 0:
             raise ValueError(f"variance must be positive, got {s}")
         x = np.asarray(x, dtype=float)
-        if self.thresholds.size == 0:
-            out = np.zeros(np.atleast_1d(x).shape)
-        else:
-            out = _gauss_sum(x, self.thresholds, self.jumps, s, density=True)
+        out = _gauss_sum(x, self.thresholds, self.jumps, s, density=True)
         return float(out[0]) if x.ndim == 0 else out
 
 

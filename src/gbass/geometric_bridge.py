@@ -8,7 +8,7 @@ decompositions, and the lognormal volatility surface of the price dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class GeometricSolution:
     nu0: GridMeasure
     nu1: GridMeasure
     arithmetic: BassSolution
-    component_map: list[tuple[tuple[float, float], tuple[float, float]]] = field(
-        default_factory=list)
 
 
 def component_solution(gsol: GeometricSolution, component_index: int):
@@ -95,13 +93,11 @@ def solve_geometric(mu0: GridMeasure, mu1: GridMeasure,
                     params: SolverParams | None = None) -> GeometricSolution:
     """Solve the geometric problem through its arithmetic reduction.
 
-    to_arithmetic has checked J = m / I before the solve; component_map holds each (I, J).
+    to_arithmetic has checked J = m / I before the solve, so each arithmetic
+    component's interval I gives its price-side interval J = m / I.
     """
     nu0, nu1, m = to_arithmetic(mu0, mu1)
-    bass = solve_decomposed(nu0, nu1, params)
-    comp_map = [((lo, hi), (m / hi, m / lo))
-                for lo, hi in (c.interval for c in bass.decomposition.components)]
-    return GeometricSolution(m, mu0, mu1, nu0, nu1, bass, comp_map)
+    return GeometricSolution(m, mu0, mu1, nu0, nu1, solve_decomposed(nu0, nu1, params))
 
 
 def _compact(atoms: np.ndarray, weights: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +159,12 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
     nonnegative by monotonicity. s is a scalar (a float comes back) or an
     array (an array of its shape comes back). Every price is checked first:
     a price that is not a positive number or whose m / s lies outside the
-    open image of fn raises ValueError naming its (flat) index. All prices
-    are then solved by one heat_convolve_inverse, to 1e-12 on F, started at
-    fn's own inverse, the threshold where the step function passes m / s,
-    and their slopes are read by one heat_convolve_deriv.
+    closed image [fn.lower, fn.upper] raises ValueError naming its (flat)
+    index. A price whose m / s is a bound exactly, as a path's F_t rounds to
+    once it is within half an ulp of it, gets the slope's limit there, 0.0.
+    The others are solved by one heat_convolve_inverse, to 1e-12 on F,
+    started at fn's own inverse, the threshold where the step function
+    passes m / s, and their slopes are read by one heat_convolve_deriv.
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"time {t} must lie strictly inside (0, 1)")
@@ -175,14 +173,15 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
     flat = prices.ravel()
     with np.errstate(divide="ignore"):
         target = gsol.m / flat
-    ok = (flat > 0.0) & (fn.lower < target) & (target < fn.upper)
+    ok = (flat > 0.0) & (fn.lower <= target) & (target <= fn.upper)
     if not ok.all():
         i = int(np.argmin(ok))
         at = "" if prices.ndim == 0 else f" at index {i}"
         why = ("must be a positive number" if not flat[i] > 0.0
                else f"lies outside the open range of component {component_index}")
         raise ValueError(f"price {flat[i]}{at} {why}")
-    x0 = fn.thresholds[np.searchsorted(fn.levels, target) - 1]
-    x_star = heat_convolve_inverse(fn, 1.0 - t, target, tol=1e-12, x0=x0)
-    vol = flat / gsol.m * fn.heat_convolve_deriv(1.0 - t, x_star)
+    inner, vol = (fn.lower < target) & (target < fn.upper), np.zeros(flat.shape)
+    x0 = fn.thresholds[np.searchsorted(fn.levels, target[inner]) - 1]
+    x_star = heat_convolve_inverse(fn, 1.0 - t, target[inner], tol=1e-12, x0=x0)
+    vol[inner] = flat[inner] / gsol.m * fn.heat_convolve_deriv(1.0 - t, x_star)
     return float(vol[0]) if prices.ndim == 0 else vol.reshape(prices.shape)

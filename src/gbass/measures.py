@@ -95,8 +95,6 @@ def make_grid_measure(atoms, weights) -> GridMeasure:
     merged_a, merged_w = a[keep], np.bincount(np.cumsum(keep) - 1, w)
     pos = merged_w > 0
     merged_a, merged_w = merged_a[pos], merged_w[pos]
-    if merged_a.size == 0:
-        raise MeasureError("all atoms have zero weight")
     merged_w = merged_w / merged_w.sum()
     merged_a.setflags(write=False)
     merged_w.setflags(write=False)

@@ -20,8 +20,10 @@ class TestMonotoneRearrangement:
 
     def test_constant_target(self):
         nu1 = g.make_grid_measure([3.7], [1.0])
-        fn = g.monotone_rearrangement(nu1, g.make_grid_measure([-1.0, 2.0], [0.5, 0.5]))
+        alpha = g.make_grid_measure([-1.0, 2.0], [0.5, 0.5])
+        fn = g.monotone_rearrangement(nu1, alpha)
         assert fn(np.array([-10.0, 0.0, 10.0])).tolist() == [3.7, 3.7, 3.7]
+        assert _terminal_level_masses(fn, alpha).tolist() == [1.0]
 
     def test_gaussian_target_recovers_identity(self):
         # pushing gamma_1 onto a fine discretization of itself is near-identity

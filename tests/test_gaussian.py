@@ -50,6 +50,24 @@ class TestGaussPrimitives:
         with pytest.raises(ValueError):
             g.gauss_pdf(0.0, -1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: g.gauss_pdf(0.0, s),
+        lambda s: g.gauss_cdf(0.0, s),
+        lambda s: g.gauss_quantile(0.5, s),
+        lambda s: g.smoothed_cdf(g.make_grid_measure([0.0], [1.0]), s, 0.0),
+        lambda s: smoothed_sf(g.make_grid_measure([0.0], [1.0]), s, 0.0),
+        lambda s: g.max_covariance_smoothed(*[g.make_grid_measure([0.0, 1.0], [0.5, 0.5])] * 2, s),
+        lambda s: g.StepFn([0.0], [0.0, 1.0]).heat_convolve(s, 0.0),
+        lambda s: g.StepFn([0.0], [0.0, 1.0]).heat_convolve_deriv(s, 0.0),
+        lambda s: g.CallableFn(lambda y: y).heat_convolve(s, 0.0),
+        lambda s: g.CallableFn(lambda y: y).heat_convolve_deriv(s, 0.0),
+    ], ids=["gauss_pdf", "gauss_cdf", "gauss_quantile", "smoothed_cdf", "smoothed_sf",
+            "max_covariance_smoothed", "step_heat_convolve", "step_heat_convolve_deriv",
+            "hermite_heat_convolve", "hermite_heat_convolve_deriv"])
+    def test_rejects_nan_variance(self, call):
+        with pytest.raises(ValueError, match="variance must be .*, got nan"):
+            call(np.nan)
+
     def test_quantile_rejects_boundary(self):
         with pytest.raises(ValueError):
             g.gauss_quantile(0.0, 1.0)
@@ -243,6 +261,14 @@ class TestStepFn:
         step = g.StepFn([0.0], [0.5, 2.0])
         assert step.lower == 0.5
         assert step.upper == 2.0
+
+    @pytest.mark.parametrize("x", [0.3, [-2.0, 0.0, 5.0], []], ids=["scalar", "array", "empty"])
+    def test_no_threshold_smooths_to_its_level(self, x):
+        # a Gaussian sum over no jumps is 0: the value is the one level, the slope 0
+        step = g.StepFn([], [1.7])
+        value, slope = step.heat_convolve(0.5, x), step.heat_convolve_deriv(0.5, x)
+        assert np.shape(value) == np.shape(slope) == np.shape(x)
+        assert np.all(value == 1.7) and np.all(slope == 0.0)
 
 
 class TestGaussHermite:

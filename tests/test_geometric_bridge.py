@@ -113,7 +113,7 @@ def test_sde_volatility_warm_start_saves_sweeps(bench_201, monkeypatch):
 
 @pytest.mark.parametrize("bad, why", [(0.0, "positive"), (-1.0, "positive"),
                                       (np.nan, "positive"), (0.4, "open range"),
-                                      (1.5, "open range"), (np.inf, "open range")])
+                                      (1.6, "open range"), (np.inf, "open range")])
 @pytest.mark.parametrize("index", [0, 3, 5])
 def test_sde_volatility_rejects_bad_price_by_index(geometric_step_solution, bad, why, index):
     prices = np.linspace(0.6, 1.4, 6)
@@ -122,6 +122,17 @@ def test_sde_volatility_rejects_bad_price_by_index(geometric_step_solution, bad,
         g.sde_volatility(geometric_step_solution, 0, 0.5, prices)
     with pytest.raises(ValueError, match=why):
         g.sde_volatility(geometric_step_solution, 0, 0.5, bad)
+
+
+def test_sde_volatility_is_zero_at_the_closed_image_bounds(geometric_step_solution):
+    # m / 1.5 is fn.lower and m / 0.5 is fn.upper exactly, where the slope's limit is 0
+    fn = geometric_step_solution.arithmetic.component_solutions[0].fn
+    assert (1.0 / 1.5, 1.0 / 0.5) == (fn.lower, fn.upper)
+    for price in (1.5, 0.5):
+        assert g.sde_volatility(geometric_step_solution, 0, 0.5, price) == 0.0
+    vols = g.sde_volatility(geometric_step_solution, 0, 0.5, np.array([1.5, 1.0, 0.5]))
+    assert vols[0] == vols[2] == 0.0
+    assert vols[1] > 0.0 and vols[1] == g.sde_volatility(geometric_step_solution, 0, 0.5, 1.0)
 
 
 def test_update_alpha_meets_default_tol(bench_201):
