@@ -15,8 +15,10 @@ from .measures import GridMeasure, MeasureError, make_grid_measure
 
 class Lognormal:
     def __init__(self, meanlog: float, varlog: float):
-        if varlog <= 0:
-            raise MeasureError(f"lognormal variance must be positive, got {varlog}")
+        if not np.isfinite(meanlog):
+            raise MeasureError(f"lognormal meanlog must be finite, got {meanlog}")
+        if not 0 < varlog < np.inf:
+            raise MeasureError(f"lognormal varlog must be positive and finite, got {varlog}")
         self.meanlog = float(meanlog)
         self.sdlog = float(np.sqrt(varlog))
 

@@ -108,8 +108,9 @@ def make_value_report(gsol: "GeometricSolution", sigma_bar: float,
     numeraire; the quadratic objectives follow from the moment identities
     linking integrated variance to the marginals.
     """
-    if sigma_bar <= 0 or Sigma_bar <= 0:
-        raise ValueError("reference volatility levels must be positive")
+    if not (0 < sigma_bar < np.inf and 0 < Sigma_bar < np.inf):
+        raise ValueError("reference volatility levels must be positive and finite, got "
+                         f"sigma_bar = {sigma_bar}, Sigma_bar = {Sigma_bar}")
     primal = primal_value(gsol.arithmetic)
     dual = dual_value(gsol.arithmetic)
     log_diff = 2.0 * (moment(gsol.mu0, "log") - moment(gsol.mu1, "log"))

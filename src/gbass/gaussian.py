@@ -8,7 +8,12 @@ sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, and the one evaluator of
 the mixture CDF and SF and of a step function's smoothing fn * gamma_s and
 its slope. ``_gauss_fit`` fits that sum once on an interval, where that pays,
 by a chopped Chebyshev series certified by ``_certified_chebyshev`` to
-2^-48 * sum |w| of the dense formula; tail rows are swept densely.
+2^-48 * sum |w| of the dense formula; tail rows are swept densely. Where it
+saves kernel terms, the fit samples the sum on p + 1 Chebyshev proxies of
+the centres with anterpolated weights (``_proxy``), the centre side of a
+one-level separable Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
+Comput. 1991; Fong & Darve, J. Comput. Phys. 2009), whose a-priori error
+bound is part of the certificate.
 ``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
 chebval, bit for bit, in place. ``invert_increasing`` is the one bracketed
 monotone inversion. The two smoothed maps of the Bass fixed point each have
@@ -50,6 +55,8 @@ _FIT_SHARE = 0.25
 _DENSE_SIZE = 64
 # standard score beyond which the Gaussian tail is below 2^-60
 _TAIL_Z = float(ndtri(2.0 ** -60))
+# the degrees p a fit's Chebyshev proxy of the centres may take: 8, 12, 16, 24, ..., 12288
+_PROXY_DEGREES = np.array([m << k for k in range(11) for m in (8, 12)])
 
 
 def gauss_pdf(x, s: float = 1.0):
@@ -102,6 +109,59 @@ def _gauss_sweep(x: np.ndarray, centers: np.ndarray, weights: np.ndarray, s: flo
     return out
 
 
+@lru_cache(maxsize=1)
+def _proxy_reach() -> np.ndarray:
+    """The largest ratio half-width / sqrt(s) of the centres' box each of _PROXY_DEGREES serves.
+
+    Row 0 is for Phi, row 1 for the density; both are made on the first fit.
+    For real x, c -> kernel((x - c) / sqrt(s)) is entire, and on the Bernstein
+    ellipse E_rho of the box |Im (x - c) / sqrt(s)| <= Y = ratio (rho - 1/rho) / 2.
+    There it is at most M = e^(Y^2/2) times the scale for the density, and
+    1 + Y e^(Y^2/2) / sqrt(2 pi) <= e^(Y^2/2 + Y / sqrt(2 pi)) for Phi, so its
+    interpolant at p + 1 second-kind points errs by at most 4 M rho^-p / (rho - 1)
+    (Trefethen, ATAP, Thm 8.2), uniformly in x. A degree serves a ratio when that
+    is at most 2^-52 for some rho on a grid of 256 out to 257.
+    """
+    rho = 1.0 + np.geomspace(2.0 ** -8, 2.0 ** 8, 256)
+    log_m = (np.log(2.0 ** -52 / 4.0) + _PROXY_DEGREES[:, None] * np.log(rho)
+             + np.log(rho - 1.0))
+    lin = np.array([1.0 / np.sqrt(2.0 * np.pi), 0.0])[:, None, None]
+    y = np.sqrt(lin * lin + 2.0 * np.maximum(log_m, 0.0)) - lin
+    return np.max(2.0 * y / (rho - 1.0 / rho), axis=-1)
+
+
+def _proxy_degree(ratio: float, density: bool) -> float:
+    """The least of _PROXY_DEGREES whose proxy serves this ratio to 2^-52, or inf."""
+    k = np.searchsorted(_proxy_reach()[int(density)], ratio)
+    return _PROXY_DEGREES[k] if k < _PROXY_DEGREES.size else np.inf
+
+
+def _proxy(centers: np.ndarray, weights: np.ndarray, lo: float, hi: float,
+           degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev proxy centres on [lo, hi] and their anterpolated weights.
+
+    The proxies are the degree + 1 second-kind points, and the weights are
+    W = L^T w, L[j, k] the barycentric Lagrange basis k at centre j (a row
+    of L is a unit vector where the centre is a proxy). So sum_k W_k K(t_k)
+    is sum_j w_j times the interpolant of K at centre j, for any kernel K.
+    """
+    k = np.arange(degree + 1)
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / degree)
+    lam = np.where(k % 2, -1.0, 1.0)
+    lam[[0, -1]] *= 0.5
+    out = np.zeros(degree + 1)
+    for i in range(0, centers.size, _CHUNK):
+        c = centers[i:i + _CHUNK]
+        basis = np.subtract.outer(c, nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(lam, basis, out=basis)
+        total = basis.sum(axis=1)
+        hit = ~np.isfinite(total)
+        basis[hit], total[hit] = c[hit, None] == nodes, 1.0
+        out += (weights[i:i + _CHUNK] / total) @ basis
+    return nodes, out
+
+
 def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndarray,
                density: bool, rows: int, share: float):
     """The sum of _gauss_sum fitted once on the finite range of span, or None.
@@ -109,7 +169,12 @@ def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndar
     On that range, cut where every term is within 2^-60 of its bound, a
     chopped Chebyshev series is certified to 2^-48 * sum |w| (over
     sqrt(2 pi s) for the density) of the dense sweep, about its own rounding,
-    while its 2 degree + 1 dense rows stay within share (at most all) of rows.
+    while its 2 degree + 1 sample rows stay within share (at most all) of rows.
+    The rows sample the sum on the p + 1 proxies of _proxy, p the least of
+    _PROXY_DEGREES whose a-priori bound uniform in x is at most 2^-52 of the
+    scale, when (2 degree + 1 + n)(p + 1) < (2 degree + 1) n for n centres;
+    the series is then certified to (2^-48 - 2^-52) * scale of the proxy sum,
+    so to 2^-48 * scale of the dense one. Otherwise they sweep the centres.
     None comes back for s <= 0, fewer than 64 rows, at most 64 centres, an
     empty cut or no certified fit. The result evaluates a 1-D x by Clenshaw
     inside the cut, of the series or, with slope=True, of its chebder; rows
@@ -120,15 +185,26 @@ def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndar
     if rows < _DENSE_SIZE or centers.size <= _DENSE_SIZE or not s > 0:
         return None
     root, finite = np.sqrt(s), np.isfinite(span)
-    a = max(span.min(where=finite, initial=np.inf), centers.min() + root * _TAIL_Z)
-    b = min(span.max(where=finite, initial=-np.inf), centers.max() - root * _TAIL_Z)
+    lo, hi = centers.min(), centers.max()
+    a = max(span.min(where=finite, initial=np.inf), lo + root * _TAIL_Z)
+    b = min(span.max(where=finite, initial=-np.inf), hi - root * _TAIL_Z)
+    if not a < b:
+        return None
     total = np.abs(weights).sum()
     slope_scale = total / np.sqrt(2.0 * np.pi * s)
     scale = slope_scale if density else total
-    coef = None if not a < b else _certified_chebyshev(
-        lambda x: _gauss_sweep(x, centers, weights, s, density), a, b,
-        int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root)),
-        (min(share, 1.0) * rows - 1.0) / 2.0, 2.0 ** -48 * scale)
+    degree = int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root))
+    # the proxy pays when its terms on the first degree's rows, anterpolation
+    # included, are fewer than the centres' kernel terms: an anterpolation term
+    # costs less than a kernel term (measured 3-6 ns against 14-22 ns)
+    p, n = _proxy_degree(0.5 * (hi - lo) / root, density), centers.size
+    proxied = (2 * degree + 1 + n) * (p + 1) < (2 * degree + 1) * n
+    # built on the first sweep, so a fit that never sweeps pays nothing for it
+    sample = lru_cache(maxsize=1)(
+        lambda: _proxy(centers, weights, lo, hi, p) if proxied else (centers, weights))
+    coef = _certified_chebyshev(lambda x: _gauss_sweep(x, *sample(), s, density), a, b, degree,
+                                (min(share, 1.0) * rows - 1.0) / 2.0,
+                                (2.0 ** -48 - (2.0 ** -52 if proxied else 0.0)) * scale)
     if coef is None:
         return None
     mid, half = 0.5 * (a + b), 0.5 * (b - a)

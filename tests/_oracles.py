@@ -184,6 +184,25 @@ def gauss_sum_fsum(x: float, centers, weights, s: float, density: bool = False) 
     return math.fsum(terms)
 
 
+def chebyshev_interpolation_bound(degree: int, ratio: float, density: bool) -> float:
+    """Trefethen's ATAP Thm 8.2 for c -> kernel((x - c) / sqrt(s)) on a box, over its scale.
+
+    ratio is the box's half-width over sqrt(s). On the Bernstein ellipse
+    E_rho, |Im (x - c) / sqrt(s)| <= Y = ratio (rho - 1/rho) / 2, where the
+    density is at most e^(Y^2/2) over sqrt(2 pi s) and Phi at most
+    1 + Y e^(Y^2/2) / sqrt(2 pi) (Phi's value at the real part, plus the
+    density's integral up the imaginary axis). The degree's interpolant errs
+    by at most 4 M rho^-degree / (rho - 1), minimised here over 4000 rho in
+    (1, 1 + 2^10], in logarithms so no factor overflows.
+    """
+    rho = 1.0 + np.geomspace(2.0 ** -10, 2.0 ** 10, 4000)
+    y = ratio * (rho - 1.0 / rho) / 2.0
+    log_m = (y * y / 2.0 if density
+             else np.logaddexp(0.0, np.log(y) + y * y / 2.0 - 0.5 * math.log(2.0 * math.pi)))
+    return float(np.exp(np.min(math.log(4.0) + log_m - degree * np.log(rho)
+                               - np.log(rho - 1.0))))
+
+
 def philox_uniforms(seed: int, index: int, count: int) -> np.ndarray:
     """The first count uniforms of numpy's Philox stream keyed by [seed, index], floored at
     2^-53: one Generator per path, as the path engines' streams are defined."""

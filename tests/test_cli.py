@@ -208,6 +208,20 @@ def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys
     assert solves == []
 
 
+@pytest.mark.parametrize("key", ["sigma_bar", "Sigma_bar"])
+@pytest.mark.parametrize("level", [np.nan, np.inf, 0.0])
+def test_value_refuses_a_reference_level_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                          key, level):
+    # json writes and reads NaN and Infinity as literals; report.json must not hold them
+    out = tmp_path / "out"
+    path = write_config(tmp_path, **{key: level})
+    assert cli.run(["value", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: reference volatility levels must be positive")
+    assert f"{key} = {level}" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 # one valid config per marginal spec kind; each target has the source's unit mean
 SAMPLE = [0.4, 0.7, 0.9, 1.0, 1.1, 1.3, 1.6]
 SPEC_KINDS = {

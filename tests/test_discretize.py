@@ -96,3 +96,17 @@ def test_more_bins_than_samples_gives_one_atom_per_sample():
 def test_non_finite_sample_raises(bad):
     with pytest.raises(MeasureError, match="non-finite"):
         discretize_samples([1.0, bad, 2.0], 2)
+
+
+@pytest.mark.parametrize("meanlog, varlog, name", [
+    (np.nan, VARLOG, "meanlog"),
+    (np.inf, VARLOG, "meanlog"),
+    (-np.inf, VARLOG, "meanlog"),
+    (MEANLOG, np.nan, "varlog"),
+    (MEANLOG, np.inf, "varlog"),
+    (MEANLOG, 0.0, "varlog"),
+])
+def test_lognormal_refuses_bad_parameter_by_name(meanlog, varlog, name):
+    # refused before any quantile is taken, so no RuntimeWarning comes first
+    with pytest.raises(MeasureError, match=f"lognormal {name} must be"):
+        discretize_family(Lognormal(meanlog, varlog), 11, TRUNCATION)

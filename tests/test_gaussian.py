@@ -18,10 +18,12 @@ from gbass.gaussian import (
 from _oracles import (
     ReferenceStall,
     central_difference,
+    chebyshev_interpolation_bound,
     gauss_sum_fsum,
     invert_increasing_reference,
     normal_cdf_series,
 )
+from conftest import solve_bench_pair
 
 
 class TestGaussPrimitives:
@@ -894,3 +896,62 @@ class TestGaussSum:
         few_centres = g.make_grid_measure(self.alpha.atoms[:64], self.alpha.weights[:64])
         g.smoothed_cdf(few_centres, 1.0, self.points(1.0))
         assert outcomes == [] and few_rows.size == 63
+
+
+class TestProxy:
+    """A fit's Chebyshev proxy of the centres against the dense sweep on the true centres."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(65, 3000), half=st.floats(0.1, 10.0), s=st.floats(1e-3, 4.0),
+           density=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_within_its_a_priori_bound(self, n, half, s, density, seed):
+        rng = np.random.default_rng(seed)
+        mid, root = rng.uniform(-5.0, 5.0), np.sqrt(s)
+        c = np.sort(mid + rng.uniform(-half, half, n))
+        c[[0, -1]] = mid - half, mid + half
+        w = rng.uniform(-1.0, 1.0, n)
+        p = gaussian._proxy_degree(half / root, density)
+        bound = chebyshev_interpolation_bound(p, half / root, density)
+        assert bound <= 2.0 ** -52
+        # signed weights, and a centre on a proxy, whose basis row is a unit vector
+        c[n // 2] = gaussian._proxy(c, w, c[0], c[-1], p)[0][p // 2]
+        nodes, weights = gaussian._proxy(c, w, c[0], c[-1], p)
+        x = np.linspace(c[0] - 10.0 * root, c[-1] + 10.0 * root, 2000)
+        err = np.abs(gaussian._gauss_sweep(x, nodes, weights, s, density)
+                     - gaussian._gauss_sweep(x, c, w, s, density))
+        scale = np.sum(np.abs(w)) / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
+        assert np.max(err) <= (bound + 2.0 ** -50) * scale
+
+    def test_every_fit_of_a_solve_meets_the_dense_formula(self, monkeypatch):
+        # the 1001-atom bench pair's solve, whose fits sample on proxies; each
+        # certified fit is checked at 1000 points drawn in its cut
+        cuts, fits, proxies = [], [], []
+        certify, fit, proxy = (gaussian._certified_chebyshev, gaussian._gauss_fit,
+                               gaussian._proxy)
+
+        def recorded_certify(evaluate, a, b, *args):
+            cuts.append((a, b))
+            return certify(evaluate, a, b, *args)
+
+        def recorded_fit(centers, weights, s, span, density, *args):
+            evaluate = fit(centers, weights, s, span, density, *args)
+            if evaluate is not None:
+                fits.append((centers, weights, s, density, cuts[-1], evaluate))
+            return evaluate
+
+        def recorded_proxy(*args):
+            proxies.append(args[-1])
+            return proxy(*args)
+
+        monkeypatch.setattr(gaussian, "_certified_chebyshev", recorded_certify)
+        monkeypatch.setattr(gaussian, "_gauss_fit", recorded_fit)
+        monkeypatch.setattr(gaussian, "_proxy", recorded_proxy)
+        solve_bench_pair(1001)
+        # measured: 17 proxies, at least one per inversion of each of the 7 outer iterations
+        assert len(proxies) >= 14 and len(fits) >= len(proxies)
+        rng = np.random.default_rng(24)
+        for centers, weights, s, density, (a, b), evaluate in fits:
+            x = rng.uniform(a, b, 1000)
+            want = gaussian._gauss_sweep(x, centers, weights, s, density)
+            scale = np.sum(np.abs(weights)) / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
+            assert np.max(np.abs(evaluate(x) - want)) <= 2.0 ** -48 * scale
