@@ -30,12 +30,7 @@ from .bass_solver import ConvergenceError, SolverParams, _config_value
 from .discretize import Lognormal, Mixture, Uniform, discretize_family, discretize_samples
 from .duality_values import make_value_report
 from .geometric_bridge import GeometricSolution, marginal_flow, solve_geometric, to_arithmetic
-from .measures import (
-    GridMeasure,
-    check_convex_order,
-    irreducible_components,
-    make_grid_measure,
-)
+from .measures import GridMeasure, _decompose, _potential_gap, make_grid_measure
 from .simulate import (_write_csv, _check_simulation, ensemble_stats, export_paths_csv,
                        simulate_geometric_sde, simulate_geometric_weighted)
 
@@ -144,12 +139,12 @@ def _solve_and_values(config: dict, base_dir: Path) -> tuple[GeometricSolution, 
 
 def _cmd_check(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
     mu0, mu1 = build_marginals(config, base_dir)
-    report = check_convex_order(mu0, mu1)
+    report, *gap = _potential_gap(mu0, mu1)  # the report and the decomposition read one gap
     payload = {"convex_order": asdict(report)}
     if not report.in_convex_order:
         print("convex order violated", file=sys.stderr)
         return payload, 2
-    decomp = irreducible_components(mu0, mu1)
+    decomp = _decompose(mu0, mu1, report, *gap)
     payload["decomposition"] = {
         "identity_set_mass": decomp.identity_set_mass,
         "components": [{"interval": list(c.interval), "mass": c.mass}

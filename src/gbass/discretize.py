@@ -51,6 +51,9 @@ class Lognormal:
 
 class Uniform:
     def __init__(self, a: float, b: float):
+        for name, value in (("a", a), ("b", b)):
+            if not np.isfinite(value):
+                raise MeasureError(f"uniform {name} must be finite, got {value}")
         if not b > a:
             raise MeasureError(f"uniform needs a < b, got [{a}, {b}]")
         self.a, self.b = float(a), float(b)
@@ -73,6 +76,9 @@ class Uniform:
 class Mixture:
     def __init__(self, parts, weights):
         w = np.asarray(weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            i = int(np.argmin(np.isfinite(w)))
+            raise MeasureError(f"mixture weight {i} must be finite, got {w[i]}")
         if np.any(w < 0) or w.sum() <= 0:
             raise MeasureError("mixture weights must be nonnegative with positive sum")
         self.parts = list(parts)

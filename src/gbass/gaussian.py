@@ -16,16 +16,18 @@ Comput. 1991; Fong & Darve, J. Comput. Phys. 2009), whose a-priori error
 bound is part of the certificate.
 ``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
 chebval, bit for bit, in place. ``invert_increasing`` is the one bracketed
-monotone inversion. The two smoothed maps of the Bass fixed point each have
-one inversion built on it: ``mixture_quantiles`` inverts alpha * gamma_s
-(CDF below one half, survival function above), and
-``heat_convolve_inverse`` inverts fn * gamma_s. Each fits its map once over
-its brackets when it has enough targets, and every row is solved and
-verified on that certified fit.
+monotone inversion; a one-row problem, such as a one-price volatility query,
+runs its loop on floats, with the same steps, calls and bits. The two
+smoothed maps of the Bass fixed point each have one inversion built on it:
+``mixture_quantiles`` inverts alpha * gamma_s (CDF below one half, survival
+function above), and ``heat_convolve_inverse`` inverts fn * gamma_s. Each
+fits its map once over its brackets when it has enough targets, and every
+row is solved and verified on that certified fit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +59,10 @@ _DENSE_SIZE = 64
 _TAIL_Z = float(ndtri(2.0 ** -60))
 # the degrees p a fit's Chebyshev proxy of the centres may take: 8, 12, 16, 24, ..., 12288
 _PROXY_DEGREES = np.array([m << k for k in range(11) for m in (8, 12)])
+# centres per anterpolation block of _proxy: at 10 001 sorted centres and p = 48
+# a call took 1.8 ms in blocks of 1024 and 2.8 ms in blocks of 4096, whose basis
+# leaves the cache; 1001 centres stay in one block, so their sums keep their bits
+_PROXY_BLOCK = 1024
 
 
 def gauss_pdf(x, s: float = 1.0):
@@ -150,15 +156,15 @@ def _proxy(centers: np.ndarray, weights: np.ndarray, lo: float, hi: float,
     lam = np.where(k % 2, -1.0, 1.0)
     lam[[0, -1]] *= 0.5
     out = np.zeros(degree + 1)
-    for i in range(0, centers.size, _CHUNK):
-        c = centers[i:i + _CHUNK]
+    for i in range(0, centers.size, _PROXY_BLOCK):
+        c = centers[i:i + _PROXY_BLOCK]
         basis = np.subtract.outer(c, nodes)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(lam, basis, out=basis)
         total = basis.sum(axis=1)
         hit = ~np.isfinite(total)
         basis[hit], total[hit] = c[hit, None] == nodes, 1.0
-        out += (weights[i:i + _CHUNK] / total) @ basis
+        out += (weights[i:i + _PROXY_BLOCK] / total) @ basis
     return nodes, out
 
 
@@ -297,8 +303,12 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     reachable where targets or slopes are too large for any float64 x to
     meet it. InversionError is raised as soon as a row that fails this test
     would be evaluated at x again, or when max_iter runs out with rows open.
+    One target runs the same loop on floats (_invert_one): the same steps,
+    calls of f and fprime (still on a 1-element array) and bits.
     """
     targets = np.asarray(targets, dtype=float)
+    if targets.size == 1:
+        return _invert_one(f, fprime, targets, lo, hi, tol, max_iter, x0)
     t = targets.ravel()
     # own copies of the brackets, which shrink in place
     lo = np.full(targets.shape, lo, dtype=float).ravel()
@@ -343,6 +353,40 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     raise InversionError(
         f"monotone inversion stalled after {step} steps: {rows.size} of {targets.size} "
         f"rows open, worst residual {worst:.3e}", worst, out.reshape(targets.shape))
+
+
+def _invert_one(f, fprime, targets, lo, hi, tol, max_iter, x0):
+    """invert_increasing's loop on its one row, with the row's state held as floats."""
+    t = float(targets.flat[0])
+    lo, hi = (float(np.asarray(b, dtype=float).flat[0]) for b in (lo, hi))
+    x = 0.5 * (lo + hi) if x0 is None else float(np.clip(x0, lo, hi).flat[0])
+    floor = 4.0 * float(np.spacing(abs(t)))
+    close = max(tol, floor)
+    last, err, step = x, np.inf, 0
+    for step in range(1, max_iter + 1):
+        at = np.array([x])
+        last, err = x, float(f(at)[0]) - t  # the last evaluated iterate and its residual
+        if abs(err) <= close:
+            return np.full(targets.shape, x)
+        if err >= 0.0:
+            hi = x
+        if err <= 0.0:
+            lo = x
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = float(fprime(at)[0])
+            # a zero slope divides as numpy does, to inf or NaN
+            cand = x - (err / slope if slope else float(np.divide(err, slope)))
+        bad = not math.isfinite(cand) or cand <= lo or cand >= hi
+        nxt = 0.5 * (lo + hi) if bad else cand
+        if cand == x or nxt == x:
+            if abs(err) <= floor + abs(slope) * float(np.spacing(abs(x))):
+                return np.full(targets.shape, x)
+            if nxt == x:
+                break
+        x = nxt
+    raise InversionError(
+        f"monotone inversion stalled after {step} steps: 1 of 1 rows open, worst residual "
+        f"{abs(err):.3e}", abs(err), np.full(targets.shape, last))
 
 
 def _chebyshev_fit(f, a: float, b: float, degree: int) -> np.ndarray:
@@ -631,8 +675,12 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
         step *= 2.0
     fit = (_gauss_fit(fn.thresholds, fn.jumps, s, np.array([lo, hi]), False, y.size, 1.0)
            if isinstance(fn, StepFn) else None)
-    if fit is None:
-        f, fprime = (lambda x: fn.heat_convolve(s, x)), (lambda x: fn.heat_convolve_deriv(s, x))
-    else:
+    if fit is not None:
         f, fprime = (lambda x: fn.levels[0] + fit(x)), (lambda x: fit(x, slope=True))
+    elif isinstance(fn, StepFn) and y.size < _DENSE_SIZE:
+        # _gauss_sum sweeps fewer rows densely: the Newton steps call that sweep directly
+        f, fprime = ((lambda x: fn.levels[0] + _gauss_sweep(x, fn.thresholds, fn.jumps, s, False)),
+                     (lambda x: _gauss_sweep(x, fn.thresholds, fn.jumps, s, True)))
+    else:
+        f, fprime = (lambda x: fn.heat_convolve(s, x)), (lambda x: fn.heat_convolve_deriv(s, x))
     return invert_increasing(f, fprime, y, lo, hi, tol=tol, x0=x0)

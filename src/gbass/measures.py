@@ -258,7 +258,12 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
     nearest interval. A deficit above 1e-9 (a mass, so no scale) left in any
     component raises MeasureError.
     """
-    report, grid, gap, tol = _potential_gap(nu0, nu1)
+    return _decompose(nu0, nu1, *_potential_gap(nu0, nu1))
+
+
+def _decompose(nu0: GridMeasure, nu1: GridMeasure, report: OrderReport, grid: np.ndarray,
+               gap: np.ndarray, tol: float) -> ComponentDecomposition:
+    """irreducible_components of the pair read off its _potential_gap result."""
     if not report.in_convex_order:
         raise MeasureError(
             "measures are not in convex order "

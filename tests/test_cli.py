@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gbass import cli
+from gbass import cli, measures
 from gbass.bass_solver import ConvergenceError
 
 
@@ -257,3 +257,33 @@ def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys, config, 
         cli.main()
     assert exit_info.value.code == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu1, message", [
+    ({"family": "uniform", "a": 0.0, "b": np.inf}, "uniform b must be finite"),
+    ({"family": "mixture", "components": [{**LOGNORMAL, "weight": np.nan}, LOGNORMAL]},
+     "mixture weight 0 must be finite"),
+], ids=["uniform-b", "mixture-weight"])
+def test_check_refuses_a_non_finite_family_parameter_by_name(tmp_path, capsys, mu1, message):
+    # json writes and reads NaN and Infinity as literals; no RuntimeWarning may come first
+    path = write_config(tmp_path, mu1=mu1)
+    assert cli.run(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: {message}, got {mu1.get('b', np.nan)}\n"
+
+
+def test_check_builds_the_potential_gap_once(tmp_path, monkeypatch):
+    # the two-component pair: the report and the decomposition read one gap,
+    # one potential per side, where check_convex_order then
+    # irreducible_components would take two each
+    calls = []
+    potential = measures.potential
+    monkeypatch.setattr(measures, "potential", lambda mu, z: calls.append(mu) or potential(mu, z))
+    path = write_config(tmp_path, mu0={"atoms": [1.0, 3.0], "weights": [0.5, 0.5]},
+                        mu1={"atoms": [0.8, 1.2, 2.7, 3.3], "weights": [0.25] * 4})
+    out = tmp_path / "out"
+    assert cli.run(["check", "--config", str(path), "--out", str(out)]) == 0
+    assert len(calls) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert [c["interval"] for c in report["decomposition"]["components"]] == [[0.8, 1.2],
+                                                                             [2.7, 3.3]]

@@ -110,3 +110,21 @@ def test_lognormal_refuses_bad_parameter_by_name(meanlog, varlog, name):
     # refused before any quantile is taken, so no RuntimeWarning comes first
     with pytest.raises(MeasureError, match=f"lognormal {name} must be"):
         discretize_family(Lognormal(meanlog, varlog), 11, TRUNCATION)
+
+
+@pytest.mark.parametrize("family, message", [
+    (lambda: Uniform(0.0, np.inf), "uniform b must be finite"),
+    (lambda: Uniform(-np.inf, 1.0), "uniform a must be finite"),
+    (lambda: Uniform(np.nan, 1.0), "uniform a must be finite"),
+    (lambda: Uniform(0.0, np.nan), "uniform b must be finite"),
+    (lambda: Mixture([Lognormal(0.0, 0.04)], [np.inf]), "mixture weight 0 must be finite"),
+    (lambda: Mixture([Lognormal(0.0, 0.04), Lognormal(0.1, 0.04)], [np.nan, 1.0]),
+     "mixture weight 0 must be finite"),
+    (lambda: Mixture([Lognormal(0.0, 0.04), Lognormal(0.1, 0.04)], [1.0, -np.inf]),
+     "mixture weight 1 must be finite"),
+], ids=["uniform-b-inf", "uniform-a-minus-inf", "uniform-a-nan", "uniform-b-nan",
+        "mixture-inf", "mixture-nan", "mixture-minus-inf"])
+def test_family_refuses_non_finite_parameter_by_name(family, message):
+    # refused on construction, before any quantile is taken, so no RuntimeWarning comes first
+    with pytest.raises(MeasureError, match=message):
+        discretize_family(family(), 11, TRUNCATION)

@@ -457,16 +457,32 @@ INVERSION_PROBLEMS = {
 }
 
 
-class TestInvertIncreasingAgainstReference:
-    """The lean loop against the loop it replaced (tests/_oracles.py), bit for bit."""
-
-    @staticmethod
-    def run(solve, f, fprime, args, kwargs):
+def assert_same_as_reference(f, fprime, args, kwargs):
+    """invert_increasing and the loop it replaced (tests/_oracles.py) make the same
+    calls of f, and return the same bits or raise with the same message, residual
+    and iterates."""
+    def run(solve):
         calls = CountingFn(f)
         try:
             return calls.calls, solve(calls, fprime, *args, **kwargs), None
         except (InversionError, ReferenceStall) as exc:
             return calls.calls, None, exc
+
+    (new_calls, new, new_exc), (ref_calls, ref, ref_exc) = map(
+        run, (invert_increasing, invert_increasing_reference))
+    assert [c.tobytes() for c in new_calls] == [c.tobytes() for c in ref_calls]
+    if ref_exc is None:
+        assert new_exc is None and new.shape == ref.shape and new.tobytes() == ref.tobytes()
+    else:
+        assert isinstance(new_exc, InversionError), new_exc
+        assert str(new_exc) == str(ref_exc)
+        assert np.float64(new_exc.residual).tobytes() == np.float64(ref_exc.residual).tobytes()
+        assert new_exc.iterates.shape == ref_exc.iterates.shape
+        assert new_exc.iterates.tobytes() == ref_exc.iterates.tobytes()
+
+
+class TestInvertIncreasingAgainstReference:
+    """The lean loop against the loop it replaced (tests/_oracles.py), bit for bit."""
 
     # few rows are drawn often, so rows close at different steps of small batches
     @given(seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(sorted(INVERSION_PROBLEMS)),
@@ -492,18 +508,53 @@ class TestInvertIncreasingAgainstReference:
               "far": rng.uniform(-4.0, 4.0, n)}[warm]
         if warm == "near" and n > 1:
             x0[0] = roots[0]  # a start exactly at a root
-        args, kwargs = (targets, lo, hi), dict(tol=10.0 ** rng.uniform(-15, -8),
-                                               max_iter=max_iter, x0=x0)
-        new_calls, new, new_exc = self.run(invert_increasing, f, fprime, args, kwargs)
-        ref_calls, ref, ref_exc = self.run(invert_increasing_reference, f, fprime, args, kwargs)
-        assert [c.tobytes() for c in new_calls] == [c.tobytes() for c in ref_calls]
-        if ref_exc is None:
-            assert new_exc is None and new.tobytes() == ref.tobytes()
-        else:
-            assert isinstance(new_exc, InversionError), new_exc
-            assert str(new_exc) == str(ref_exc)
-            assert np.float64(new_exc.residual).tobytes() == np.float64(ref_exc.residual).tobytes()
-            assert new_exc.iterates.tobytes() == ref_exc.iterates.tobytes()
+        assert_same_as_reference(f, fprime, (targets, lo, hi),
+                                 dict(tol=10.0 ** rng.uniform(-15, -8), max_iter=max_iter, x0=x0))
+
+
+class TestInvertOneRowAgainstReference:
+    """The one-row loop on floats against the array loop of tests/_oracles.py, bit for bit."""
+
+    root = 0.7
+    # (level, root) that no float64 x attains: steep's root 1 + 1e-16 lies between
+    # two floats, one ulp of x apart, which move f by 2.2e-8, so the row closes by
+    # the rule for a row that cannot move; jump's 0.5 lies inside its jump at 0.25
+    unattained_levels = {"steep": (1e-8, 1.0), "jump": (0.5, 0.25)}
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 200])
+    @pytest.mark.parametrize("warm", ["none", "near", "far"])
+    @pytest.mark.parametrize("bounds", ["scalar", "array"])
+    @pytest.mark.parametrize("name, unattained",
+                             [(name, False) for name in sorted(INVERSION_PROBLEMS)]
+                             + [(name, True) for name in sorted(unattained_levels)])
+    def test_same_iterates_results_and_errors(self, name, unattained, bounds, warm, max_iter):
+        f, fprime = INVERSION_PROBLEMS[name]
+        level, root = self.unattained_levels[name] if unattained else (f(self.root), self.root)
+        targets = np.array([level])
+        lo, hi = ((-1.0, 1.5) if bounds == "scalar"
+                  else (np.array([root - 0.3]), np.array([root + 0.9])))
+        x0 = {"none": None, "near": np.array([root + 1e-9]), "far": np.array([3.0])}[warm]
+        assert_same_as_reference(f, fprime, (targets, lo, hi),
+                                 dict(tol=1e-12, max_iter=max_iter, x0=x0))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.0])
+    @pytest.mark.parametrize("x0", [None, 1.5])
+    def test_zero_slope_divides_as_numpy(self, slope, x0):
+        # err / 0 is +-inf, not a ZeroDivisionError: each step bisects
+        f, fprime = INVERSION_PROBLEMS["nan_slope"][0], lambda x: np.full_like(x, slope)
+        for max_iter in (1, 3, 200):
+            assert_same_as_reference(f, fprime, (f(np.array([0.7])), -1.0, 1.5),
+                                     dict(tol=0.0, max_iter=max_iter,
+                                          x0=None if x0 is None else np.array([x0])))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    @pytest.mark.parametrize("name", sorted(INVERSION_PROBLEMS))
+    def test_result_and_iterates_are_shaped_like_the_targets(self, name, shape):
+        f, fprime = INVERSION_PROBLEMS[name]
+        targets = f(np.array([self.root])).reshape(shape)
+        for max_iter in (1, 200):
+            assert_same_as_reference(f, fprime, (targets, -1.0, 1.5),
+                                     dict(tol=1e-12, max_iter=max_iter, x0=np.array([3.0])))
 
 
 def break_fits(monkeypatch, kind):

@@ -8,6 +8,8 @@ from scipy.special import ndtri
 import gbass as g
 from gbass import cli, gaussian, geometric_bridge, measures
 
+from _oracles import invert_increasing_reference
+
 SIGMA = math.sqrt(0.12)
 
 
@@ -109,6 +111,18 @@ def test_sde_volatility_warm_start_saves_sweeps(bench_201, monkeypatch):
     sweeps.clear()
     g.sde_volatility(bench_201, 0, 0.5, np.array([p for _, p in points[36:45]]))
     assert len(sweeps) <= 11  # one bracket, then F and F' for all nine prices at each step
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_sde_volatility_scalar_is_the_length_one_array(bench_201, monkeypatch, t):
+    prices = [math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t) for z in (-2.0, 0.0, 2.0)]
+    scalar = [g.sde_volatility(bench_201, 0, t, price) for price in prices]
+    array = [g.sde_volatility(bench_201, 0, t, np.array([price]))[0] for price in prices]
+    # both one-row inversions run on floats: the array loop they skip gives the same bits
+    monkeypatch.setattr(gaussian, "invert_increasing", invert_increasing_reference)
+    reference = [g.sde_volatility(bench_201, 0, t, price) for price in prices]
+    assert all(type(vol) is float for vol in scalar)
+    assert np.array(scalar).tobytes() == np.array(array).tobytes() == np.array(reference).tobytes()
 
 
 @pytest.mark.parametrize("bad, why", [(0.0, "positive"), (-1.0, "positive"),
