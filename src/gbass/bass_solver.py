@@ -272,14 +272,16 @@ def solve_component(nu0: GridMeasure, nu1: GridMeasure,
                                  len(steps), tuple(steps))
 
 
+def _solve_components(decomp: ComponentDecomposition, params: SolverParams | None) -> BassSolution:
+    """Solve each component of a decomposition."""
+    return BassSolution(decomp, [solve_component(c.nu0_restricted, c.nu1_restricted, params)
+                                 for c in decomp.components])
+
+
 def solve_decomposed(nu0: GridMeasure, nu1: GridMeasure,
                      params: SolverParams | None = None) -> BassSolution:
     """Decompose into irreducible intervals and solve each one."""
-    params = params or SolverParams()
-    decomp = irreducible_components(nu0, nu1)
-    solutions = [solve_component(c.nu0_restricted, c.nu1_restricted, params)
-                 for c in decomp.components]
-    return BassSolution(decomp, solutions)
+    return _solve_components(irreducible_components(nu0, nu1), params)
 
 
 def eval_fn(sol: BassComponentSolution, t: float, x):

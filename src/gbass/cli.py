@@ -11,8 +11,7 @@ Every command is a handler ``(config, base_dir, out, seed) -> (payload,
 exit_code)`` that writes its data files under ``out``; ``run`` writes the
 payload once as ``out/report.json`` after the command's name. Exit codes: 0
 ok, 2 invalid input or file error, 3 no convergence, 4 internal error, whose
-line names the exception's type (RuntimeError where the two sides of the
-reflection disagree, which ``transform`` and every solve check first).
+line names the exception's type.
 """
 
 from __future__ import annotations

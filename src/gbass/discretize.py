@@ -75,13 +75,14 @@ class Uniform:
 
 class Mixture:
     def __init__(self, parts, weights):
-        w = np.asarray(weights, dtype=float)
+        self.parts, w = list(parts), np.asarray(weights, dtype=float)
+        if len(self.parts) != w.size:
+            raise MeasureError(f"mixture has {len(self.parts)} parts but {w.size} weights")
         if not np.all(np.isfinite(w)):
             i = int(np.argmin(np.isfinite(w)))
             raise MeasureError(f"mixture weight {i} must be finite, got {w[i]}")
         if np.any(w < 0) or w.sum() <= 0:
             raise MeasureError("mixture weights must be nonnegative with positive sum")
-        self.parts = list(parts)
         self.weights = w / w.sum()
 
     def cdf(self, x):

@@ -2,8 +2,9 @@
 
 Positive marginals with a common mean are reflected through x -> m/x into an
 arithmetic pair, solved by the fixed-point scheme, and mapped back: marginal
-flow of the price process, the interval correspondence between the two
-decompositions, and the lognormal volatility surface of the price dynamics.
+flow of the price process and the lognormal volatility surface of the price
+dynamics. The irreducible components are decided once, on the price side, and
+each price-side interval J maps onto the arithmetic one I = m / J.
 """
 
 from __future__ import annotations
@@ -12,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bass_solver import BassSolution, SolverParams, solve_decomposed
+from .bass_solver import BassSolution, SolverParams, _solve_components
 from .gaussian import gauss_hermite, heat_convolve_inverse
-from .measures import (
-    GridMeasure,
-    MeasureError,
-    _component_intervals,
-    _potential_gap,
-    make_grid_measure,
-    reflect_measure,
-)
+from .measures import (GridMeasure, MeasureError, _decompose, _potential_gap, make_grid_measure,
+                       reflect_measure)
 
 # most atoms of a flow marginal, which also sets the Gauss-Hermite nodes per
 # alpha atom at interior times
@@ -46,58 +41,37 @@ def component_solution(gsol: GeometricSolution, component_index: int):
     return comps[component_index]
 
 
-def to_arithmetic(mu0: GridMeasure, mu1: GridMeasure) -> tuple[GridMeasure, GridMeasure, float]:
-    """Reflect a positive convex-ordered pair into its arithmetic counterpart.
-
-    Each side's potential gap is built once. On it the convex order, equal
-    means included, is verified by measures' one scale rule, and the sides must
-    agree on the verdict and on the components J = m / I (as many, each pair
-    overlapping): else a RuntimeError is raised, before any solve.
-    """
+def _reflect(mu0: GridMeasure, mu1: GridMeasure):
+    """to_arithmetic's (nu0, nu1, m), with the price-side _potential_gap it was checked on."""
     for name, mu in (("initial", mu0), ("terminal", mu1)):
         if not mu.positive_support:
             raise MeasureError(f"{name} marginal must have strictly positive support")
-    m = mu0.mean
-    mu_report, *mu_gap = _potential_gap(mu0, mu1)
-    if not mu_report.equal_means:
+    gap = _potential_gap(mu0, mu1)
+    if not gap[0].equal_means:
+        raise MeasureError(f"marginal means differ: {mu0.mean!r} vs {mu1.mean!r}")
+    if not gap[0].in_convex_order:
         raise MeasureError(
-            f"marginal means differ: {mu0.mean!r} vs {mu1.mean!r}")
-    nu0 = reflect_measure(mu0, normalize=True)
-    nu1 = reflect_measure(mu1, normalize=True)
-    nu_report, *nu_gap = _potential_gap(nu0, nu1)
-    if mu_report.in_convex_order != nu_report.in_convex_order:
-        raise RuntimeError(
-            "internal consistency failure: convex-order verdicts disagree "
-            f"across the reflection ({mu_report.max_violation:.3e} vs "
-            f"{nu_report.max_violation:.3e})")
-    if not mu_report.in_convex_order:
-        raise MeasureError(
-            f"marginals are not in convex order (violation {mu_report.max_violation:.3e})")
-    mu_intervals = _component_intervals(*mu_gap)
-    mapped = sorted((m / hi, m / lo) for lo, hi in _component_intervals(*nu_gap))
-    if len(mu_intervals) != len(mapped):
-        raise RuntimeError(
-            "internal consistency failure: component counts differ between "
-            f"the two decompositions ({len(mapped)} vs {len(mu_intervals)})")
-    for (a, b), (c, d) in zip(mapped, mu_intervals):
-        # endpoints are only tolerance-sharp where the potential gap has an
-        # exact zero, so require the paired intervals to overlap
-        if max(a, c) >= min(b, d):
-            raise RuntimeError(
-                "internal consistency failure: mapped component "
-                f"({a}, {b}) does not overlap price-side interval ({c}, {d})")
-    return nu0, nu1, m
+            f"marginals are not in convex order (violation {gap[0].max_violation:.3e})")
+    return reflect_measure(mu0, normalize=True), reflect_measure(mu1, normalize=True), mu0.mean, gap
+
+
+def to_arithmetic(mu0: GridMeasure, mu1: GridMeasure) -> tuple[GridMeasure, GridMeasure, float]:
+    """Reflect a positive convex-ordered pair into its arithmetic counterpart. The
+    convex order, equal means included, is checked on the price side, else MeasureError."""
+    return _reflect(mu0, mu1)[:3]
 
 
 def solve_geometric(mu0: GridMeasure, mu1: GridMeasure,
                     params: SolverParams | None = None) -> GeometricSolution:
     """Solve the geometric problem through its arithmetic reduction.
 
-    to_arithmetic has checked J = m / I before the solve, so each arithmetic
-    component's interval I gives its price-side interval J = m / I.
+    The irreducible components are decided once, on the price side's potential
+    gap, and carried across the reflection: each price-side interval J becomes
+    the arithmetic interval I = m / J. Each component is solved as solve_decomposed does.
     """
-    nu0, nu1, m = to_arithmetic(mu0, mu1)
-    return GeometricSolution(m, mu0, mu1, nu0, nu1, solve_decomposed(nu0, nu1, params))
+    nu0, nu1, m, gap = _reflect(mu0, mu1)
+    decomp = _decompose(mu0, mu1, *gap, onto=(nu0, nu1, m))
+    return GeometricSolution(m, mu0, mu1, nu0, nu1, _solve_components(decomp, params))
 
 
 def _compact(atoms: np.ndarray, weights: np.ndarray, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:

@@ -262,8 +262,10 @@ def irreducible_components(nu0: GridMeasure, nu1: GridMeasure) -> ComponentDecom
 
 
 def _decompose(nu0: GridMeasure, nu1: GridMeasure, report: OrderReport, grid: np.ndarray,
-               gap: np.ndarray, tol: float) -> ComponentDecomposition:
-    """irreducible_components of the pair read off its _potential_gap result."""
+               gap: np.ndarray, tol: float, onto=None) -> ComponentDecomposition:
+    """irreducible_components of the pair read off its _potential_gap result, or,
+    with onto = (eta0, eta1, m) (the reflections and m = nu0.mean), carried onto
+    eta0 and eta1: each interval J becomes m / J, in reversed order (_carry)."""
     if not report.in_convex_order:
         raise MeasureError(
             "measures are not in convex order "
@@ -318,13 +320,31 @@ def _decompose(nu0: GridMeasure, nu1: GridMeasure, report: OrderReport, grid: np
 
     labels, weights = np.concatenate([target, right]), np.concatenate([excess, rest])
     keep = (weights > 0) & (labels >= 0)
-    parts0 = _groups(label0, k, nu0.atoms, nu0.weights)
-    parts1 = _groups(labels[keep], k, np.concatenate([x, x])[keep], weights[keep])
+    sides = [(nu0, label0, np.arange(nu0.n), nu0.weights),
+             (nu1, labels[keep], np.tile(np.arange(x.size), 2)[keep], weights[keep])]
+    if onto is not None:
+        sides = [(eta, *_carry(*side, eta, k)) for side, eta in zip(sides, onto)]
+        intervals = [(onto[2] / hi, onto[2] / lo) for lo, hi in intervals[::-1]]
+    mass = np.bincount(sides[0][1], sides[0][3], minlength=k + 1)  # running sums in atom order
+    parts0, parts1 = (_groups(label, k, mu.atoms[i], w) for mu, label, i, w in sides)
     components = [MeasureComponent(intervals[c], make_grid_measure(*parts0[c]),
                                    make_grid_measure(*parts1[c]), float(mass[c]))
                   for c in range(k)]
     identity = make_grid_measure(*parts0[k]) if mass[k] > 0 else None
     return ComponentDecomposition(float(mass[k]), identity, components)
+
+
+def _carry(mu: GridMeasure, label: np.ndarray, index: np.ndarray, part: np.ndarray,
+           eta: GridMeasure, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parts (label, atom index, weight) of mu as parts of eta = reflect_measure(mu, True):
+    atoms match by value, as those landing on one float merge; component labels
+    (below k) reverse; a whole atom's share is exactly 1.0, so its weight keeps its bits."""
+    image = np.searchsorted(eta.atoms, 1.0 / (mu.atoms / mu.mean))
+    label = np.where(label < k, k - 1 - label, k)
+    key, pos = np.unique(label * eta.n + image[index], return_inverse=True)
+    label, j = np.divmod(key, eta.n)
+    share = np.bincount(pos, part) / np.bincount(image, mu.weights, minlength=eta.n)[j]
+    return label, j, eta.weights[j] * share
 
 
 def reflect_measure(mu: GridMeasure, normalize: bool = False) -> GridMeasure:

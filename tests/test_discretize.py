@@ -128,3 +128,11 @@ def test_family_refuses_non_finite_parameter_by_name(family, message):
     # refused on construction, before any quantile is taken, so no RuntimeWarning comes first
     with pytest.raises(MeasureError, match=message):
         discretize_family(family(), 11, TRUNCATION)
+
+
+@pytest.mark.parametrize("parts, weights", [(2, 1), (1, 2)], ids=["more-parts", "more-weights"])
+def test_mixture_refuses_parts_and_weights_of_different_lengths(parts, weights):
+    # zip would drop the unmatched part or weight: a grid mean of 1.020 or 0.510, not 1
+    family = [Lognormal(0.0, 0.04), Lognormal(1.0, 0.04)][:parts]
+    with pytest.raises(MeasureError, match=f"mixture has {parts} parts but {weights} weights"):
+        Mixture(family, [1.0 / weights] * weights)

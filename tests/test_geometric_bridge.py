@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 
 import gbass as g
-from gbass import cli, gaussian, geometric_bridge, measures
+from gbass import bass_solver, gaussian, measures
 
 from _oracles import invert_increasing_reference
 
@@ -163,40 +162,49 @@ def test_component_index_out_of_range_raises(bench_201, index):
         g.simulate_geometric_sde(bench_201, index, 2, 3, 0)
 
 
-def terminal_reflects_to(nu1):
-    """reflect_measure, except that the four-atom terminal marginal reflects to nu1."""
-    return lambda mu, normalize: nu1 if mu.n == 4 else g.reflect_measure(mu, normalize)
+def counted(monkeypatch, module, name: str) -> list:
+    """Record each call of module.name in the returned list."""
+    calls, f = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or f(*args))
+    return calls
 
 
-def shifted_right(grid, gap, tol):
-    """Each interval moved right by its width: x -> m / x turns the move on the
-    arithmetic side into one to the left, so no mapped interval meets its partner."""
-    return [(hi, 2.0 * hi - lo) for lo, hi in measures._component_intervals(grid, gap, tol)]
+def test_the_geometric_solve_decides_its_components_once(bench_201, monkeypatch):
+    # the price side's potential gap (2 potentials) decides the split; each component
+    # then checks its own irreducibility (2 potentials, 1 irreducible_components)
+    pairs = [((bench_201.mu0, bench_201.mu1), 1),
+             (tuple(g.make_grid_measure(a, [1.0 / len(a)] * len(a))
+                    for a in ([1.0, 3.0], [0.8, 1.2, 2.7, 3.3])), 2)]
+    for (mu0, mu1), components in pairs:
+        potentials = counted(monkeypatch, measures, "potential")
+        decided = counted(monkeypatch, bass_solver, "irreducible_components")
+        gsol = g.solve_geometric(mu0, mu1)
+        assert len(gsol.arithmetic.component_solutions) == components
+        assert (len(potentials), len(decided)) == (2 + 2 * components, components)
 
 
-@pytest.mark.parametrize("message, name, fake", [
-    ("verdicts disagree", "reflect_measure", terminal_reflects_to(g.make_grid_measure([1.0], [1.0]))),
-    ("component counts differ", "reflect_measure",
-     terminal_reflects_to(g.make_grid_measure([0.25, 4.0], [0.8, 0.2]))),
-    ("does not overlap", "_component_intervals", shifted_right),
-], ids=["verdicts", "counts", "overlap"])
-def test_inconsistent_reflection_is_refused_before_the_solve(tmp_path, monkeypatch, capsys,
-                                                             message, name, fake):
-    # (delta_1 + delta_3) / 2 to (delta_0.8 + delta_1.2 + delta_2.7 + delta_3.3) / 4
-    atoms0, atoms1 = [1.0, 3.0], [0.8, 1.2, 2.7, 3.3]
-    mu0, mu1 = g.make_grid_measure(atoms0, [0.5] * 2), g.make_grid_measure(atoms1, [0.25] * 4)
-    assert g.to_arithmetic(mu0, mu1)[2] == 2.0  # consistent until patched
+X, Z = 1.5059366220404455, 26.76960668403438
+MERGED = [X, float(np.nextafter(X, np.inf)), Z]  # weights 0.3, 0.3, 0.4
 
-    def no_solve(*args):
-        raise AssertionError("solve_decomposed entered")
 
-    monkeypatch.setattr(geometric_bridge, name, fake)
-    monkeypatch.setattr(geometric_bridge, "solve_decomposed", no_solve)
-    with pytest.raises(RuntimeError, match=message):
-        g.solve_geometric(mu0, mu1)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mu0": {"atoms": atoms0, "weights": [0.5] * 2},
-                                  "mu1": {"atoms": atoms1, "weights": [0.25] * 4}}))
-    assert cli.run(["transform", "--config", str(config), "--out", str(tmp_path / "out")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: RuntimeError: ") and message in err
+@pytest.mark.parametrize("atoms, weights, components, static, primal", [
+    ([0.9 * a for a in MERGED] + [1.1 * a for a in MERGED], [0.15, 0.15, 0.2] * 2,
+     2, 0.0, 0.0799605815126),
+    (MERGED[:2] + [0.9 * Z, 1.1 * Z], [0.3, 0.3, 0.2, 0.2], 1, 0.0778167672823565, 0.0319842326051),
+], ids=["dilated", "close-atoms-kept"])
+def test_atoms_merged_by_the_reflection_carry_their_split(atoms, weights, components, static,
+                                                          primal):
+    # x and nextafter(x) reflect onto one float, so price atoms and their images do
+    # not pair by position. The cluster at Z carries the arithmetic mass 0.92218...
+    mu0 = g.make_grid_measure(MERGED, [0.3, 0.3, 0.4])
+    gsol = g.solve_geometric(mu0, g.make_grid_measure(atoms, weights))
+    decomp = gsol.arithmetic.decomposition
+    assert (mu0.n, gsol.nu0.n) == (3, 2)
+    assert len(decomp.components) == components
+    assert abs(decomp.identity_set_mass - static) <= 1e-12
+    assert abs(decomp.components[0].mass - 0.9221832327176435) <= 1e-12
+    assert abs(g.primal_value(gsol.arithmetic) - primal) <= 1e-12
+    if components == 1:
+        # the static atom 7.71 (the image of X) stays out of the component whole,
+        # where deciding the split on the arithmetic side moved 1.5e-17 of it in
+        assert decomp.components[0].nu1_restricted.n == 2

@@ -5,14 +5,16 @@ price pair its value surface is F_t(x) = c_t exp(sigma x), so F_t' / F_t is
 the constant sigma, whether the pair is solved as it stands or reflected
 into the arithmetic problem of the geometric one. And the geometric problem
 does not change under a price scale S -> cS, so neither may its solve. The
-reflection x -> m / x maps the arithmetic components I onto the price-side
-ones J = m / I, which to_arithmetic checks before any solve. On the GBM pair
-the primal is sigma and the price at t is lognormal with varlog
+solve decides the components on the price side and carries each J onto the
+arithmetic I = m / J: wherever the arithmetic pair decomposes on its own,
+both decompositions agree bit for bit, and the price side decomposes too.
+On the GBM pair the primal is sigma and the price at t is lognormal with varlog
 0.04 + sigma^2 t, closed forms that the solve must meet to its grid's O(1/n).
 The price solves dS = S sigma(t, S) dB, so along simulated paths the time
 integral of sde_volatility has the primal as its mean, on a pair that is not GBM.
 """
 
+import itertools
 import math
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 import gbass as g
+from gbass import geometric_bridge
 from gbass.cli import build_marginals
 from gbass.discretize import Lognormal, discretize_family
 from conftest import fuzz_pair, fuzz_pairs
@@ -83,14 +86,79 @@ def test_the_solve_is_invariant_under_a_price_scale(bench_201, fuzz):
         assert abs(got_primal / primal - 1.0) <= 1e-10
 
 
+def carried_decomposition(monkeypatch, mu0: g.GridMeasure, mu1: g.GridMeasure):
+    """The decomposition solve_geometric solves, read with the solve of its components skipped."""
+    monkeypatch.setattr(geometric_bridge, "_solve_components",
+                        lambda decomp, params: g.BassSolution(decomp))
+    return g.solve_geometric(mu0, mu1).arithmetic.decomposition
+
+
 @pytest.mark.parametrize("seed, components", [(11, 1370), (12, 1563), (13, 1592)])
-def test_the_reflection_maps_components_onto_components(seed, components):
-    # to_arithmetic raises unless each I maps to an overlapping J = m / I; no pair is solved
-    total = 0
-    for *_, mu0, mu1 in fuzz_pairs(seed):
-        nu0, nu1, _ = g.to_arithmetic(mu0, mu1)
-        total += len(g.irreducible_components(nu0, nu1).components)
+def test_the_reflection_maps_components_onto_components(monkeypatch, seed, components):
+    total = sum(len(carried_decomposition(monkeypatch, mu0, mu1).components)
+                for *_, mu0, mu1 in fuzz_pairs(seed))
     assert total == components
+
+
+# spread-1e-6 pairs (seed, index) of the dilation fuzz that the arithmetic side's own
+# tolerance cannot split (a price-side component's peak gap of 30 tol shrinks to about
+# 1 tol under the reflection), and pairs that neither side can split yet (one grid
+# point of exact gap in (0, tol] merges two true components)
+ARITHMETIC_SIDE_MERGES = {(14, 5), (14, 10), (17, 3), (19, 16), (20, 2), (21, 14), (35, 9),
+                          (37, 18), (37, 20), (38, 12), (38, 17), (39, 21), (42, 18), (45, 0),
+                          (50, 11), (52, 9), (55, 2), (56, 2), (59, 8)}
+NEITHER_SIDE_SPLITS = {(24, 21), (33, 22), (48, 2), (48, 5), (48, 17), (59, 7)}
+
+
+def spread_1e6_pairs():
+    """(seed, index, mu0, mu1) of the spread-1e-6 pairs of seeds 11-60, the first 25 of each."""
+    for seed in range(11, 61):
+        for _, index, mu0, mu1 in itertools.islice(fuzz_pairs(seed), 25):
+            yield seed, index, mu0, mu1
+
+
+def same_measure(a: g.GridMeasure | None, b: g.GridMeasure | None) -> bool:
+    return (a is b is None or a is not None and b is not None
+            and np.array_equal(a.atoms, b.atoms) and np.array_equal(a.weights, b.weights))
+
+
+def test_the_price_side_split_carried_across_the_reflection_is_the_arithmetic_one(monkeypatch):
+    # measured: bit for bit on the 1225 pairs both sides split; interval ends within
+    # 3.5e-9, since the arithmetic ends are interpolated zero crossings
+    merged, refused = set(), set()
+    for seed, index, mu0, mu1 in spread_1e6_pairs():
+        try:
+            arithmetic = g.irreducible_components(*g.to_arithmetic(mu0, mu1)[:2])
+        except g.MeasureError:
+            arithmetic = None
+        try:
+            carried = carried_decomposition(monkeypatch, mu0, mu1)
+        except g.MeasureError:
+            assert arithmetic is None, (seed, index)  # the price side splits where it does
+            refused.add((seed, index))
+            continue
+        if arithmetic is None:
+            merged.add((seed, index))
+            continue
+        assert carried.identity_set_mass == arithmetic.identity_set_mass
+        assert same_measure(carried.identity_restriction, arithmetic.identity_restriction)
+        assert len(carried.components) == len(arithmetic.components)
+        for c, a in zip(carried.components, arithmetic.components):
+            assert c.mass == a.mass
+            assert same_measure(c.nu0_restricted, a.nu0_restricted)
+            assert same_measure(c.nu1_restricted, a.nu1_restricted)
+            assert np.max(np.abs(np.subtract(c.interval, a.interval))) <= 1e-8
+    assert (merged, refused) == (ARITHMETIC_SIDE_MERGES, NEITHER_SIDE_SPLITS)
+
+
+def test_pairs_the_arithmetic_side_merges_solve():
+    # measured: 616 components, each at its fixed point after one outer iteration
+    gsols = [g.solve_geometric(mu0, mu1) for seed, index, mu0, mu1 in spread_1e6_pairs()
+             if (seed, index) in ARITHMETIC_SIDE_MERGES]
+    solutions = [c for gsol in gsols for c in gsol.arithmetic.component_solutions]
+    assert len(gsols) == 19 and len(solutions) == 616
+    assert all(c.iterations == 1 for c in solutions)
+    assert max(abs(g.make_value_report(gsol, 1.0, 1.0).duality_gap) for gsol in gsols) <= 1e-15
 
 
 def test_gbm_primal_is_its_volatility(bench_201):
