@@ -13,7 +13,10 @@ saves kernel terms, the fit samples the sum on p + 1 Chebyshev proxies of
 the centres with anterpolated weights (``_proxy``), the centre side of a
 one-level separable Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
 Comput. 1991; Fong & Darve, J. Comput. Phys. 2009), whose a-priori error
-bound is part of the certificate.
+bound is part of the certificate. Each StepFn keeps one memo of proxies per
+degree (``_Proxies``) for its fits and its sums of fewer than 64 rows, which
+sweep p + 1 proxies, not n thresholds, once that pays: within 2^-52 of the
+scale of the dense formula uniformly in x, and on it where at most 2^-20.
 ``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
 chebval, bit for bit, in place. ``invert_increasing`` is the one bracketed
 monotone inversion; a one-row problem, such as a one-price volatility query,
@@ -28,7 +31,8 @@ row is solved and verified on that certified fit.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from bisect import bisect_left
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
@@ -63,6 +67,9 @@ _PROXY_DEGREES = np.array([m << k for k in range(11) for m in (8, 12)])
 # a call took 1.8 ms in blocks of 1024 and 2.8 ms in blocks of 4096, whose basis
 # leaves the cache; 1001 centres stay in one block, so their sums keep their bits
 _PROXY_BLOCK = 1024
+# kernel terms a row of a one-row sum must save for its proxies to pay: their
+# sweep adds a degree lookup and a tail check, about 3 us or 300 kernel terms
+_PROXY_GAIN = 512
 
 
 def gauss_pdf(x, s: float = 1.0):
@@ -138,7 +145,7 @@ def _proxy_reach() -> np.ndarray:
 
 def _proxy_degree(ratio: float, density: bool) -> float:
     """The least of _PROXY_DEGREES whose proxy serves this ratio to 2^-52, or inf."""
-    k = np.searchsorted(_proxy_reach()[int(density)], ratio)
+    k = bisect_left(_proxy_reach()[int(density)], ratio)
     return _PROXY_DEGREES[k] if k < _PROXY_DEGREES.size else np.inf
 
 
@@ -168,8 +175,64 @@ def _proxy(centers: np.ndarray, weights: np.ndarray, lo: float, hi: float,
     return nodes, out
 
 
+class _Proxies:
+    """Weighted centres and a memo of their _proxy on their box, built per degree on first call.
+
+    Every Gaussian sum of the centres reads it: fits and one-row sums, at any s.
+    """
+
+    def __init__(self, centers: np.ndarray, weights: np.ndarray):
+        self.centers, self.weights = centers, weights
+        self._saved = centers.size - int(_PROXY_DEGREES[0]) - 1  # the most terms a row may save
+        self._built: dict = {}
+        self._swept: dict = {}  # dense rows swept per degree not yet built
+
+    def __call__(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        if degree not in self._built:
+            c = self.centers
+            self._built[degree] = _proxy(c, self.weights, c.min(), c.max(), degree)
+        return self._built[degree]
+
+    @cached_property
+    def _box(self) -> tuple[float, float]:
+        """Half the width of the centres' box, and sum |w|."""
+        return 0.5 * float(self.centers.max() - self.centers.min()), float(np.abs(self.weights).sum())
+
+    def sweep(self, x: np.ndarray, s: float, density: bool) -> np.ndarray:
+        """_gauss_sweep of the centres on a 1-D x of few rows, read off the proxies where they pay.
+
+        Where the p + 1 proxies of _gauss_fit's degree p save _PROXY_GAIN
+        kernel terms a row and are built, the rows sweep them: within 2^-52
+        of the scale (sum |w|, over sqrt(2 pi s) for the density) of the
+        dense sweep, uniformly in x (_proxy_reach); rows at most 2^-20 of it
+        are swept densely, as a fit's are. A degree is built once (p + 1) / 3
+        dense rows of it were swept, about what its n (p + 1) anterpolation
+        terms cost (3.5-5.8 ns each against 13-23 ns a Phi term), so a few
+        rows build nothing; which sweep a row gets depends on earlier calls.
+        """
+        c, w = self.centers, self.weights
+        if self._saved < _PROXY_GAIN:  # no degree can pay
+            return _gauss_sweep(x, c, w, s, density)
+        half, total = self._box
+        root = math.sqrt(s)
+        p = _proxy_degree(half / root, density)
+        if not c.size - (p + 1) >= _PROXY_GAIN:
+            return _gauss_sweep(x, c, w, s, density)
+        if p not in self._built:
+            rows = self._swept.get(p, 0)
+            if 3 * rows < p + 1:
+                self._swept[p] = rows + x.size
+                return _gauss_sweep(x, c, w, s, density)
+        out = _gauss_sweep(x, *self(p), s, density)
+        tail = 2.0 ** -20 * total / (math.sqrt(2.0 * math.pi) * root if density else 1.0)
+        if any(abs(v) <= tail for v in out.tolist()):  # a Python loop: few rows
+            dense = np.abs(out) <= tail
+            out[dense] = _gauss_sweep(x[dense], c, w, s, density)
+        return out
+
+
 def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndarray,
-               density: bool, rows: int, share: float):
+               density: bool, rows: int, share: float, proxies: _Proxies | None = None):
     """The sum of _gauss_sum fitted once on the finite range of span, or None.
 
     On that range, cut where every term is within 2^-60 of its bound, a
@@ -181,6 +244,8 @@ def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndar
     scale, when (2 degree + 1 + n)(p + 1) < (2 degree + 1) n for n centres;
     the series is then certified to (2^-48 - 2^-52) * scale of the proxy sum,
     so to 2^-48 * scale of the dense one. Otherwise they sweep the centres.
+    They come from proxies, the centres' memo (a new one if None), on the
+    first sweep, so a fit that never sweeps builds nothing.
     None comes back for s <= 0, fewer than 64 rows, at most 64 centres, an
     empty cut or no certified fit. The result evaluates a 1-D x by Clenshaw
     inside the cut, of the series or, with slope=True, of its chebder; rows
@@ -205,12 +270,12 @@ def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndar
     # costs less than a kernel term (measured 3-6 ns against 14-22 ns)
     p, n = _proxy_degree(0.5 * (hi - lo) / root, density), centers.size
     proxied = (2 * degree + 1 + n) * (p + 1) < (2 * degree + 1) * n
-    # built on the first sweep, so a fit that never sweeps pays nothing for it
-    sample = lru_cache(maxsize=1)(
-        lambda: _proxy(centers, weights, lo, hi, p) if proxied else (centers, weights))
-    coef = _certified_chebyshev(lambda x: _gauss_sweep(x, *sample(), s, density), a, b, degree,
-                                (min(share, 1.0) * rows - 1.0) / 2.0,
-                                (2.0 ** -48 - (2.0 ** -52 if proxied else 0.0)) * scale)
+    if proxied and proxies is None:
+        proxies = _Proxies(centers, weights)
+    coef = _certified_chebyshev(
+        lambda x: _gauss_sweep(x, *(proxies(p) if proxied else (centers, weights)), s, density),
+        a, b, degree, (min(share, 1.0) * rows - 1.0) / 2.0,
+        (2.0 ** -48 - (2.0 ** -52 if proxied else 0.0)) * scale)
     if coef is None:
         return None
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -229,16 +294,25 @@ def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndar
 
 
 def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
-               density: bool = False) -> np.ndarray:
+               density: bool = False, proxies: _Proxies | None = None) -> np.ndarray:
     """sum_j weights[j] * Phi((x - centers[j]) / sqrt(s)), or the density sum.
 
     Shaped like np.atleast_1d(x). Read off _gauss_fit on the range of x where
-    it certifies within _FIT_SHARE of the rows, and swept densely otherwise.
+    it certifies within _FIT_SHARE of the rows: within 2^-48 of the scale
+    (sum |w|, over sqrt(2 pi s) for the density) of the dense formula.
+    Fewer than _DENSE_SIZE rows with proxies, the centres' memo, are read by
+    its sweep: on the proxies within 2^-52 of the scale once they pay. Every
+    other row, and every row at most 2^-20 of the scale, is swept densely.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.ravel()
-    fit = _gauss_fit(centers, weights, s, xs, density, xs.size, _FIT_SHARE)
-    out = _gauss_sweep(xs, centers, weights, s, density) if fit is None else fit(xs)
+    fit = _gauss_fit(centers, weights, s, xs, density, xs.size, _FIT_SHARE, proxies)
+    if fit is not None:
+        out = fit(xs)
+    elif proxies is not None and xs.size < _DENSE_SIZE:
+        out = proxies.sweep(xs, s, density)
+    else:
+        out = _gauss_sweep(xs, centers, weights, s, density)
     return out.reshape(x.shape)
 
 
@@ -543,7 +617,8 @@ class StepFn(MonotoneFn):
     """Right-increasing step function: levels[j] on (thresholds[j-1], thresholds[j]].
 
     The native solver representation; heat convolution and its derivative are
-    exact sums of Gaussian CDF/PDF increments.
+    exact sums of Gaussian CDF/PDF increments, which share one memo of the
+    thresholds' Chebyshev proxies (_Proxies).
     """
 
     def __init__(self, thresholds, levels):
@@ -561,6 +636,7 @@ class StepFn(MonotoneFn):
         self.lower = float(y[0])
         self.upper = float(y[-1])
         self.ends = (float(t[0]), float(t[-1])) if t.size else None
+        self._proxies = _Proxies(t, self.jumps)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -581,14 +657,14 @@ class StepFn(MonotoneFn):
         x = np.asarray(x, dtype=float)
         if s == 0:
             return self(x)
-        out = self.levels[0] + _gauss_sum(x, self.thresholds, self.jumps, s)
+        out = self.levels[0] + _gauss_sum(x, self.thresholds, self.jumps, s, False, self._proxies)
         return float(out[0]) if x.ndim == 0 else out
 
     def heat_convolve_deriv(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
         if not s > 0:
             raise ValueError(f"variance must be positive, got {s}")
         x = np.asarray(x, dtype=float)
-        out = _gauss_sum(x, self.thresholds, self.jumps, s, density=True)
+        out = _gauss_sum(x, self.thresholds, self.jumps, s, True, self._proxies)
         return float(out[0]) if x.ndim == 0 else out
 
 
@@ -648,6 +724,10 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     and at least 64 targets, on one _gauss_fit of fn * gamma_s over the
     bracket, within one dense row per target: both certified to 2^-48 * sum
     of jumps of the dense formula, and on it where the sum is at most 2^-20.
+    With fewer targets, the bracket check and the Newton steps of a StepFn
+    read one-row sums off its memo of proxies (_Proxies.sweep): within 2^-52
+    * sum of jumps (over sqrt(2 pi s) for the slope) of the dense formula,
+    uniformly in x, once built, and on it where at most 2^-20 of that.
     """
     if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
@@ -673,14 +753,14 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
         lo -= step if f_lo > y_min else 0.0
         hi += step if f_hi < y_max else 0.0
         step *= 2.0
-    fit = (_gauss_fit(fn.thresholds, fn.jumps, s, np.array([lo, hi]), False, y.size, 1.0)
-           if isinstance(fn, StepFn) else None)
+    fit = (_gauss_fit(fn.thresholds, fn.jumps, s, np.array([lo, hi]), False, y.size, 1.0,
+                      fn._proxies) if isinstance(fn, StepFn) else None)
     if fit is not None:
         f, fprime = (lambda x: fn.levels[0] + fit(x)), (lambda x: fit(x, slope=True))
     elif isinstance(fn, StepFn) and y.size < _DENSE_SIZE:
-        # _gauss_sum sweeps fewer rows densely: the Newton steps call that sweep directly
-        f, fprime = ((lambda x: fn.levels[0] + _gauss_sweep(x, fn.thresholds, fn.jumps, s, False)),
-                     (lambda x: _gauss_sweep(x, fn.thresholds, fn.jumps, s, True)))
+        # _gauss_sum reads fewer rows off fn's memo: the Newton steps call its sweep directly
+        sweep = fn._proxies.sweep
+        f, fprime = (lambda x: fn.levels[0] + sweep(x, s, False)), (lambda x: sweep(x, s, True))
     else:
         f, fprime = (lambda x: fn.heat_convolve(s, x)), (lambda x: fn.heat_convolve_deriv(s, x))
     return invert_increasing(f, fprime, y, lo, hi, tol=tol, x0=x0)

@@ -320,7 +320,9 @@ def ensemble_stats(ens: PathEnsemble, reference_marginals=None) -> SimulationSta
 
     log_qv_mean = log_qv_se = None
     if np.all(ens.paths > 0):
-        qv = np.sum(np.diff(np.log(ens.paths), axis=1) ** 2, axis=1)
+        qv = np.empty(ens.n_paths)
+        for i in range(0, qv.size, _CHUNK):  # per path block, so no whole log(paths) is alive
+            qv[i:i + _CHUNK] = np.sum(np.diff(np.log(ens.paths[i:i + _CHUNK]), axis=1) ** 2, axis=1)
         log_qv_mean, log_qv_se = _weighted_mean_se(qv, w)
 
     idx = int(np.argmin(np.abs(ens.time_grid - 0.5)))

@@ -46,6 +46,11 @@ def bench_1001():
 
 
 @pytest.fixture(scope="session")
+def bench_10001():
+    return solve_bench_pair(10001)
+
+
+@pytest.fixture(scope="session")
 def step_pair():
     # two-point target with unit-mean source; the generating function is a
     # single step at the standard Gaussian median

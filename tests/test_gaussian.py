@@ -1006,3 +1006,47 @@ class TestProxy:
             want = gaussian._gauss_sweep(x, centers, weights, s, density)
             scale = np.sum(np.abs(weights)) / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
             assert np.max(np.abs(evaluate(x) - want)) <= 2.0 ** -48 * scale
+
+
+class TestOneRowSums:
+    """Sums of fewer than _DENSE_SIZE rows of a StepFn read its memo of proxies once built."""
+
+    @staticmethod
+    def fresh(request, grid_size):
+        """The bench pair's solved fn, rebuilt so its memo starts empty."""
+        fn = request.getfixturevalue(f"bench_{grid_size}").arithmetic.component_solutions[0].fn
+        return g.StepFn(fn.thresholds, fn.levels)
+
+    @pytest.mark.parametrize("density", [False, True])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("grid_size", [1001, 10001])
+    def test_within_the_a_priori_bound_and_dense_in_the_tails(self, request, grid_size, s,
+                                                               density):
+        fn = self.fresh(request, grid_size)
+        c, w, root = fn.thresholds, fn.jumps, np.sqrt(s)
+        p = gaussian._proxy_degree(0.5 * (c[-1] - c[0]) / root, density)
+        fn._proxies(p)  # built, so every row below that pays reads the proxies
+        # across the widest bracket heat_convolve_inverse starts from, one row a call
+        x = np.linspace(c[0] - 9.0 * root, c[-1] + 9.0 * root, 500)
+        got = np.array([gaussian._gauss_sum(row, c, w, s, density, fn._proxies)[0] for row in x])
+        want = gaussian._gauss_sweep(x, c, w, s, density)
+        scale = np.sum(w) / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
+        # 2^-52 of the scale a priori, uniform in x, plus the sums' rounding
+        assert np.max(np.abs(got - want)) <= (2.0 ** -52 + 2.0 ** -50) * scale
+        assert np.any(got != want)
+        tail = np.abs(want) <= 2.0 ** -21 * scale
+        one_row = [gaussian._gauss_sweep(x[i:i + 1], c, w, s, density)[0]
+                   for i in np.flatnonzero(tail)]
+        assert tail.any() and np.array_equal(got[tail], one_row)
+
+    def test_a_fit_and_the_one_row_sums_share_the_memo(self, request, monkeypatch):
+        fn, built, proxy = self.fresh(request, 1001), [], gaussian._proxy
+        monkeypatch.setattr(gaussian, "_proxy",
+                            lambda *args: built.append(args[-1]) or proxy(*args))
+        x = np.linspace(fn.thresholds[0], fn.thresholds[-1], 2000)
+        fn.heat_convolve(0.5, x)  # a fit sampled on the proxies of its degree
+        [p] = built
+        rows = [fn.heat_convolve(0.5, row) for row in x[::10]]
+        dense = [fn.levels[0] + gaussian._gauss_sweep(x[i:i + 1], fn.thresholds, fn.jumps, 0.5,
+                                                      False)[0] for i in range(0, x.size, 10)]
+        assert built == [p] and rows != dense

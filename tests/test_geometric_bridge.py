@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,29 @@ def test_sde_volatility_is_zero_at_the_closed_image_bounds(geometric_step_soluti
     assert vols[1] > 0.0 and vols[1] == g.sde_volatility(geometric_step_solution, 0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("t", [0.898, 0.980])
+def test_sde_volatility_accepts_the_flow_atoms(bench_201, t):
+    # the flow's atoms m / y, merged by weighted means, put m / s 1-4 ulps past fn.upper
+    fn = bench_201.arithmetic.component_solutions[0].fn
+    atoms = g.marginal_flow(bench_201, t).atoms
+    past = bench_201.m / atoms > fn.upper
+    assert past.any()
+    vols = g.sde_volatility(bench_201, 0, t, atoms)
+    assert np.all(np.isfinite(vols)) and np.all(vols >= 0.0)
+    assert np.all(vols[past] == 0.0)
+
+
+def test_sde_volatility_slack_past_the_bounds_is_two_to_the_minus_50(geometric_step_solution):
+    # fn's image is [2/3, 2] and m = 1: m / s within 2^-50 of the width past a bound
+    # gets the limit slope 0.0, and further out the price is refused
+    fn = geometric_step_solution.arithmetic.component_solutions[0].fn
+    slack = 2.0 ** -50 * (fn.upper - fn.lower)
+    for bound, out in ((fn.lower, -1.0), (fn.upper, 1.0)):
+        assert g.sde_volatility(geometric_step_solution, 0, 0.5, 1.0 / (bound + out * slack)) == 0.0
+        with pytest.raises(ValueError, match="open range"):
+            g.sde_volatility(geometric_step_solution, 0, 0.5, 1.0 / (bound + 4.0 * out * slack))
+
+
 def test_update_alpha_meets_default_tol(bench_201):
     csol = bench_201.arithmetic.component_solutions[0]
     alpha = g.update_alpha(csol.source, csol.fn)
@@ -208,3 +232,85 @@ def test_atoms_merged_by_the_reflection_carry_their_split(atoms, weights, compon
         # the static atom 7.71 (the image of X) stays out of the component whole,
         # where deciding the split on the arithmetic side moved 1.5e-17 of it in
         assert decomp.components[0].nu1_restricted.n == 2
+
+
+def bench_grid(lo: float, hi: float, n: int) -> list[float]:
+    return [round(lo + (hi - lo) * i / (n - 1), 12) for i in range(n)]
+
+
+# the benchmark's scalar surfaces: 19 x 21 GBM points at 1001 atoms, 9 x 9 at 201
+SURFACE = [(t, math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t))
+           for t in bench_grid(0.05, 0.95, 19) for z in bench_grid(-2.5, 2.5, 21)]
+SURFACE_201 = [(t, math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t))
+               for t in bench_grid(0.1, 0.9, 9) for z in bench_grid(-2.0, 2.0, 9)]
+
+
+def with_fresh_memo(gsol):
+    """gsol with its one component's fn rebuilt, so the fn's memo of proxies starts empty."""
+    [csol] = gsol.arithmetic.component_solutions
+    fn = g.StepFn(csol.fn.thresholds, csol.fn.levels)
+    arithmetic = dataclasses.replace(gsol.arithmetic,
+                                     component_solutions=[dataclasses.replace(csol, fn=fn)])
+    return dataclasses.replace(gsol, arithmetic=arithmetic)
+
+
+def scalar_surface(gsol, points) -> np.ndarray:
+    return np.array([g.sde_volatility(gsol, 0, t, price) for t, price in points])
+
+
+@pytest.fixture(scope="module", params=[1001, 10001])
+def surfaced(request):
+    """A bench pair on a fresh memo after its scalar surface: (gsol, vols, degrees built)."""
+    gsol = with_fresh_memo(request.getfixturevalue(f"bench_{request.param}"))
+    built, proxy = [], gaussian._proxy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaussian, "_proxy", lambda *args: built.append(args[-1]) or proxy(*args))
+        vols = scalar_surface(gsol, SURFACE)
+    return gsol, vols, built
+
+
+def test_a_surface_builds_each_proxy_degree_once(surfaced):
+    _, vols, built = surfaced
+    assert built and len(built) == len(set(built))
+    assert np.all(np.isfinite(vols)) and np.max(np.abs(vols - SIGMA)) <= 2e-3
+
+
+def test_surface_on_proxies_matches_the_dense_sums(surfaced, monkeypatch):
+    # measured: 1.0e-15 relative at 1001 atoms, 7.8e-16 at 10 001
+    gsol, vols, _ = surfaced
+    monkeypatch.setattr(gaussian, "_PROXY_GAIN", np.inf)
+    dense = scalar_surface(with_fresh_memo(gsol), SURFACE)
+    assert np.any(vols != dense) and np.max(np.abs(vols / dense - 1.0)) <= 1e-14
+
+
+def test_scalar_and_length_one_array_calls_agree_on_built_proxies(surfaced):
+    gsol, _, _ = surfaced
+    fn = gsol.arithmetic.component_solutions[0].fn
+    half = 0.5 * (fn.thresholds[-1] - fn.thresholds[0])
+    for t, price in SURFACE[::21]:
+        # both sums of the call read built proxies
+        assert all(gaussian._proxy_degree(half / math.sqrt(1.0 - t), density) in fn._proxies._built
+                   for density in (False, True))
+        scalar = g.sde_volatility(gsol, 0, t, price)
+        array = g.sde_volatility(gsol, 0, t, np.array([price]))
+        assert type(scalar) is float and np.array([scalar]).tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("grid_size", [1001, 10001])
+def test_a_lone_call_builds_no_proxies(request, grid_size, monkeypatch):
+    gsol = request.getfixturevalue(f"bench_{grid_size}")
+    built = counted(monkeypatch, gaussian, "_proxy")
+    lone = [g.sde_volatility(with_fresh_memo(gsol), 0, t, price) for t, price in SURFACE[::50]]
+    assert not built
+    monkeypatch.setattr(gaussian, "_PROXY_GAIN", np.inf)
+    dense = [g.sde_volatility(with_fresh_memo(gsol), 0, t, price) for t, price in SURFACE[::50]]
+    assert np.array(lone).tobytes() == np.array(dense).tobytes()
+
+
+def test_201_atom_volatilities_stay_dense(bench_201, monkeypatch):
+    # 200 thresholds: no proxy degree saves _PROXY_GAIN kernel terms a row
+    built = counted(monkeypatch, gaussian, "_proxy")
+    vols = scalar_surface(with_fresh_memo(bench_201), SURFACE_201)
+    assert not built
+    monkeypatch.setattr(gaussian, "_PROXY_GAIN", np.inf)
+    assert vols.tobytes() == scalar_surface(with_fresh_memo(bench_201), SURFACE_201).tobytes()

@@ -60,6 +60,16 @@ def test_gbm_log_quadratic_variation(bench_201, ensembles, engine):
 
 
 @pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_log_quadratic_variation_in_path_blocks_keeps_its_bits(ensembles, engine):
+    # ensemble_stats sums each path's squared log increments a block of paths at a time
+    ens = ensembles[engine]
+    whole = np.sum(np.diff(np.log(ens.paths), axis=1) ** 2, axis=1)
+    stats = g.ensemble_stats(ens)
+    assert ens.n_paths > simulate._CHUNK
+    assert (stats.log_qv_mean, stats.log_qv_se) == simulate._weighted_mean_se(whole, ens.weights)
+
+
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
 def test_gbm_log_quadratic_variation_at_100_steps(bench_201, engine):
     # 20 000 paths x 100 steps: both engines together take about 1.1 s on a 2-core host
     check_gbm_log_quadratic_variation(run_engine(engine, bench_201, 100, N_PATHS, SEED))
