@@ -14,9 +14,13 @@ the centres with anterpolated weights (``_proxy``), the centre side of a
 one-level separable Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
 Comput. 1991; Fong & Darve, J. Comput. Phys. 2009), whose a-priori error
 bound is part of the certificate. Each StepFn keeps one memo of proxies per
-degree (``_Proxies``) for its fits and its sums of fewer than 64 rows, which
-sweep p + 1 proxies, not n thresholds, once that pays: within 2^-52 of the
-scale of the dense formula uniformly in x, and on it where at most 2^-20.
+degree (``_Proxies``), built on first use, for its fits and its sums of
+fewer than 64 rows. The one-row contract: such a sum sweeps the p + 1
+proxies of its degree, not the n thresholds, wherever that saves
+_PROXY_GAIN kernel terms a row, within 2^-52 of the scale of the dense
+formula uniformly in x; every other row, and every row at most 2^-20 of the
+scale, is the dense formula. A sum depends on its arguments alone: the memo
+changes how long a call takes, never its bits.
 ``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
 chebval, bit for bit, in place. ``invert_increasing`` is the one bracketed
 monotone inversion; a one-row problem, such as a one-price volatility query,
@@ -176,7 +180,7 @@ def _proxy(centers: np.ndarray, weights: np.ndarray, lo: float, hi: float,
 
 
 class _Proxies:
-    """Weighted centres and a memo of their _proxy on their box, built per degree on first call.
+    """Weighted centres and a cache of their _proxy on their box, built per degree on first call.
 
     Every Gaussian sum of the centres reads it: fits and one-row sums, at any s.
     """
@@ -185,7 +189,6 @@ class _Proxies:
         self.centers, self.weights = centers, weights
         self._saved = centers.size - int(_PROXY_DEGREES[0]) - 1  # the most terms a row may save
         self._built: dict = {}
-        self._swept: dict = {}  # dense rows swept per degree not yet built
 
     def __call__(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         if degree not in self._built:
@@ -199,16 +202,10 @@ class _Proxies:
         return 0.5 * float(self.centers.max() - self.centers.min()), float(np.abs(self.weights).sum())
 
     def sweep(self, x: np.ndarray, s: float, density: bool) -> np.ndarray:
-        """_gauss_sweep of the centres on a 1-D x of few rows, read off the proxies where they pay.
+        """_gauss_sweep of the centres on a 1-D x of few rows, by the module's one-row contract.
 
-        Where the p + 1 proxies of _gauss_fit's degree p save _PROXY_GAIN
-        kernel terms a row and are built, the rows sweep them: within 2^-52
-        of the scale (sum |w|, over sqrt(2 pi s) for the density) of the
-        dense sweep, uniformly in x (_proxy_reach); rows at most 2^-20 of it
-        are swept densely, as a fit's are. A degree is built once (p + 1) / 3
-        dense rows of it were swept, about what its n (p + 1) anterpolation
-        terms cost (3.5-5.8 ns each against 13-23 ns a Phi term), so a few
-        rows build nothing; which sweep a row gets depends on earlier calls.
+        The proxies are of _gauss_fit's degree p, and their 2^-52 bound
+        (_proxy_reach) is of the scale sum |w|, over sqrt(2 pi s) for the density.
         """
         c, w = self.centers, self.weights
         if self._saved < _PROXY_GAIN:  # no degree can pay
@@ -218,11 +215,6 @@ class _Proxies:
         p = _proxy_degree(half / root, density)
         if not c.size - (p + 1) >= _PROXY_GAIN:
             return _gauss_sweep(x, c, w, s, density)
-        if p not in self._built:
-            rows = self._swept.get(p, 0)
-            if 3 * rows < p + 1:
-                self._swept[p] = rows + x.size
-                return _gauss_sweep(x, c, w, s, density)
         out = _gauss_sweep(x, *self(p), s, density)
         tail = 2.0 ** -20 * total / (math.sqrt(2.0 * math.pi) * root if density else 1.0)
         if any(abs(v) <= tail for v in out.tolist()):  # a Python loop: few rows
@@ -301,8 +293,8 @@ def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
     it certifies within _FIT_SHARE of the rows: within 2^-48 of the scale
     (sum |w|, over sqrt(2 pi s) for the density) of the dense formula.
     Fewer than _DENSE_SIZE rows with proxies, the centres' memo, are read by
-    its sweep: on the proxies within 2^-52 of the scale once they pay. Every
-    other row, and every row at most 2^-20 of the scale, is swept densely.
+    its sweep, under the module's one-row contract. Every other row, and
+    every row at most 2^-20 of the scale, is swept densely.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.ravel()
@@ -626,6 +618,9 @@ class StepFn(MonotoneFn):
         y = np.asarray(levels, dtype=float)
         if y.size != t.size + 1:
             raise ValueError("need exactly one more level than thresholds")
+        for name, a in (("thresholds", t), ("levels", y)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
         if t.size and np.any(np.diff(t) <= 0):
             raise ValueError("thresholds must be strictly increasing")
         if np.any(np.diff(y) < 0):
@@ -725,9 +720,9 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     bracket, within one dense row per target: both certified to 2^-48 * sum
     of jumps of the dense formula, and on it where the sum is at most 2^-20.
     With fewer targets, the bracket check and the Newton steps of a StepFn
-    read one-row sums off its memo of proxies (_Proxies.sweep): within 2^-52
-    * sum of jumps (over sqrt(2 pi s) for the slope) of the dense formula,
-    uniformly in x, once built, and on it where at most 2^-20 of that.
+    read one-row sums off its memo of proxies (_Proxies.sweep), under the
+    module's one-row contract, its scale the sum of jumps (over
+    sqrt(2 pi s) for the slope).
     """
     if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")

@@ -141,10 +141,9 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
     solved by one heat_convolve_inverse, to 1e-12 on F, started at fn's own
     inverse, the threshold where the step function passes m / s, and their
     slopes are read by one heat_convolve_deriv. Fewer than 64 prices in a
-    call read F and F' as one-row sums, which sweep fn's Chebyshev proxies
-    once they pay (never at 200 thresholds): within 2^-52 of the jumps'
-    total (over sqrt(2 pi (1 - t)) for F') of the dense formula, uniformly
-    in x. That moves a volatility of the 1001-atom bench pair by 1e-15.
+    call read F and F' as one-row sums under gaussian's one-row contract
+    (proxies never pay at 200 thresholds), which moves a volatility of the
+    1001-atom bench pair by 1e-15; a volatility is a function of its arguments alone.
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"time {t} must lie strictly inside (0, 1)")

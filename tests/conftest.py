@@ -26,13 +26,17 @@ def gbm_solution(gbm_pair):
     return g.solve_geometric(*gbm_pair)
 
 
-def solve_bench_pair(grid_size: int) -> g.GeometricSolution:
+def bench_pair(grid_size: int) -> tuple[g.GridMeasure, g.GridMeasure]:
     """The benchmark's lognormal pair at grid_size atoms; its Bass martingale is GBM."""
     config = {
         "mu0": {"family": "lognormal", "meanlog": -0.02, "varlog": 0.04, "grid_size": grid_size},
         "mu1": {"family": "lognormal", "meanlog": -0.08, "varlog": 0.16, "grid_size": grid_size},
     }
-    return g.solve_geometric(*build_marginals(config, Path(".")))
+    return build_marginals(config, Path("."))
+
+
+def solve_bench_pair(grid_size: int) -> g.GeometricSolution:
+    return g.solve_geometric(*bench_pair(grid_size))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import gbass as g
 from gbass import bass_solver
 from gbass.bass_solver import ConvergenceError, _terminal_level_masses
 from gbass.measures import MeasureError
-from conftest import dilate, fuzz_pair, lognormal_measure, random_positive_measure
+from conftest import bench_pair, dilate, fuzz_pair, lognormal_measure, random_positive_measure
 
 
 class TestMonotoneRearrangement:
@@ -156,6 +156,17 @@ class TestSolveComponent:
             g.solve_component(nu0, nu1, params)
         assert err.value.iterations == 3
         assert np.isfinite(err.value.residual_source)
+
+    def test_a_fixed_point_above_fit_tolerance_reports_its_residuals(self):
+        # the 41-atom lognormal pair reaches its fixed point in 7 iterations with
+        # residuals 4.7e-14 / 1.3e-14, which no tolerance below them accepts
+        pair = bench_pair(41)
+        [csol] = g.solve_geometric(*pair).arithmetic.component_solutions
+        with pytest.raises(ConvergenceError, match="fixed point reached") as err:
+            g.solve_geometric(*pair, g.SolverParams(fit_tolerance=1e-30))
+        got = err.value.residual_source, err.value.residual_target, err.value.iterations
+        assert got == (csol.residual_source, csol.residual_target, csol.iterations)
+        assert csol.iterations == 7 and 1e-30 < min(got[:2]) <= max(got[:2]) <= 1e-13
 
     @pytest.mark.parametrize("seed", [12, 20, 29])
     def test_one_atom_components_stop_modulo_translation(self, seed):

@@ -287,3 +287,25 @@ def test_check_builds_the_potential_gap_once(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert [c["interval"] for c in report["decomposition"]["components"]] == [[0.8, 1.2],
                                                                              [2.7, 3.3]]
+
+
+def test_check_reports_a_pair_out_of_convex_order(tmp_path, capsys):
+    # equal means, but the target {1} is less spread than the source {0.5, 1.5}
+    path = write_config(tmp_path, mu0={"atoms": [0.5, 1.5], "weights": [0.5, 0.5]},
+                        mu1={"atoms": [1.0], "weights": [1.0]})
+    out = tmp_path / "out"
+    assert cli.run(["check", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "convex order violated\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["convex_order"]["equal_means"] and not report["convex_order"]["in_convex_order"]
+    assert "decomposition" not in report
+
+
+def test_flow_refuses_a_time_outside_the_unit_interval_before_any_solve(tmp_path, monkeypatch,
+                                                                         capsys):
+    solved = []
+    monkeypatch.setattr(cli, "solve_geometric", lambda *args: solved.append(args))
+    path = write_config(tmp_path, flow_times=[0.5, 1.5])
+    assert cli.run(["flow", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "invalid input: flow time 1.5 outside [0, 1]\n"
+    assert not solved

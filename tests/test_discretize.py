@@ -130,6 +130,23 @@ def test_family_refuses_non_finite_parameter_by_name(family, message):
         discretize_family(family(), 11, TRUNCATION)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)], ids=["empty", "reversed"])
+def test_uniform_refuses_an_interval_without_interior(a, b):
+    with pytest.raises(MeasureError, match=f"uniform needs a < b, got \\[{a}, {b}\\]"):
+        Uniform(a, b)
+
+
+def test_mixture_of_uniforms_is_piecewise_linear():
+    # half on [0, 1], half on [2, 4]: CDF u / 2 on the first, 1/2 + (x - 2) / 4 on the second
+    mix = Mixture([Uniform(0.0, 1.0), Uniform(2.0, 4.0)], [1.0, 1.0])
+    x = np.array([-1.0, 0.5, 1.0, 1.5, 3.0, 4.0, 5.0])
+    assert np.array_equal(mix.cdf(x), [0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0])
+    u = np.linspace(0.01, 0.99, 99)
+    want = np.where(u <= 0.5, 2.0 * u, 2.0 + 4.0 * (u - 0.5))
+    assert np.max(np.abs(mix.quantile(u) - want)) <= 1e-12
+    assert discretize_family(mix, 41, TRUNCATION).mean == pytest.approx(1.75, rel=1e-15)
+
+
 @pytest.mark.parametrize("parts, weights", [(2, 1), (1, 2)], ids=["more-parts", "more-weights"])
 def test_mixture_refuses_parts_and_weights_of_different_lengths(parts, weights):
     # zip would drop the unmatched part or weight: a grid mean of 1.020 or 0.510, not 1

@@ -209,6 +209,14 @@ class TestHeatConvolve:
         assert table(0.5) == pytest.approx(0.75)
         assert g.heat_convolve(table, 1.0, 0.0) == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("xs, ys, match", [
+        ([0.0, 0.0, 1.0], [0.0, 0.5, 1.0], "abscissae must be strictly increasing"),
+        ([-1.0, 0.0, 1.0], [0.0, 0.5, 0.4], "values must be nondecreasing"),
+    ])
+    def test_table_fn_refuses_a_table_out_of_order(self, xs, ys, match):
+        with pytest.raises(ValueError, match=match):
+            g.TableFn(xs, ys)
+
 
 class TestHeatConvolveDeriv:
     def test_identity_slope_one(self):
@@ -252,12 +260,19 @@ class TestStepFn:
         assert step(1.5) == 2.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            g.StepFn([0.0, 0.0], [0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            g.StepFn([0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            g.StepFn([0.0], [1.0])
+        for thresholds, levels, match in [
+            ([0.0, 0.0], [0.0, 1.0, 2.0], "strictly increasing"),
+            ([0.0], [1.0, 0.0], "nondecreasing"),
+            ([0.0], [1.0], "one more level"),
+            # NaN compares False, so the order checks alone let these through
+            ([np.nan, 1.0], [0.0, 1.0, 2.0], "thresholds must be finite, got nan"),
+            ([0.0, np.inf], [0.0, 1.0, 2.0], "thresholds must be finite, got inf"),
+            ([0.0, 1.0], [0.0, np.nan, 2.0], "levels must be finite, got nan"),
+            ([0.0, 1.0], [0.0, 1.0, np.inf], "levels must be finite, got inf"),
+            ([0.0, 1.0], [-np.inf, 1.0, 2.0], "levels must be finite, got -inf"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                g.StepFn(thresholds, levels)
 
     def test_image_bounds(self):
         step = g.StepFn([0.0], [0.5, 2.0])
@@ -1009,7 +1024,7 @@ class TestProxy:
 
 
 class TestOneRowSums:
-    """Sums of fewer than _DENSE_SIZE rows of a StepFn read its memo of proxies once built."""
+    """Sums of fewer than _DENSE_SIZE rows of a StepFn read its memo of proxies where they pay."""
 
     @staticmethod
     def fresh(request, grid_size):
@@ -1024,8 +1039,6 @@ class TestOneRowSums:
                                                                density):
         fn = self.fresh(request, grid_size)
         c, w, root = fn.thresholds, fn.jumps, np.sqrt(s)
-        p = gaussian._proxy_degree(0.5 * (c[-1] - c[0]) / root, density)
-        fn._proxies(p)  # built, so every row below that pays reads the proxies
         # across the widest bracket heat_convolve_inverse starts from, one row a call
         x = np.linspace(c[0] - 9.0 * root, c[-1] + 9.0 * root, 500)
         got = np.array([gaussian._gauss_sum(row, c, w, s, density, fn._proxies)[0] for row in x])

@@ -186,6 +186,19 @@ def test_component_index_out_of_range_raises(bench_201, index):
         g.simulate_geometric_sde(bench_201, index, 2, 3, 0)
 
 
+@pytest.mark.parametrize("solve", [g.to_arithmetic, g.solve_geometric], ids=["reflect", "solve"])
+@pytest.mark.parametrize("mu0, mu1, message", [
+    ([1.0], [0.0, 2.0], "terminal marginal must have strictly positive support"),
+    ([-1.0, 3.0], [1.0], "initial marginal must have strictly positive support"),
+    ([1.0], [0.9, 1.3], "marginal means differ"),
+    ([0.5, 1.5], [1.0], "marginals are not in convex order"),
+], ids=["zero-atom", "negative-atom", "unequal-means", "not-convex-ordered"])
+def test_the_price_side_checks_refuse_by_name(solve, mu0, mu1, message):
+    pair = [g.make_grid_measure(a, [1.0 / len(a)] * len(a)) for a in (mu0, mu1)]
+    with pytest.raises(g.MeasureError, match=message):
+        solve(*pair)
+
+
 def counted(monkeypatch, module, name: str) -> list:
     """Record each call of module.name in the returned list."""
     calls, f = [], getattr(module, name)
@@ -296,15 +309,17 @@ def test_scalar_and_length_one_array_calls_agree_on_built_proxies(surfaced):
         assert type(scalar) is float and np.array([scalar]).tobytes() == array.tobytes()
 
 
-@pytest.mark.parametrize("grid_size", [1001, 10001])
-def test_a_lone_call_builds_no_proxies(request, grid_size, monkeypatch):
-    gsol = request.getfixturevalue(f"bench_{grid_size}")
+def test_a_volatility_does_not_depend_on_earlier_calls(surfaced, monkeypatch):
+    # the in-order surface on a fresh memo, the reversed one, and lone calls on fresh memos
+    gsol, vols, _ = surfaced
+    reverse = scalar_surface(with_fresh_memo(gsol), SURFACE[::-1])[::-1]
+    assert vols.tobytes() == reverse.tobytes()
     built = counted(monkeypatch, gaussian, "_proxy")
-    lone = [g.sde_volatility(with_fresh_memo(gsol), 0, t, price) for t, price in SURFACE[::50]]
-    assert not built
-    monkeypatch.setattr(gaussian, "_PROXY_GAIN", np.inf)
-    dense = [g.sde_volatility(with_fresh_memo(gsol), 0, t, price) for t, price in SURFACE[::50]]
-    assert np.array(lone).tobytes() == np.array(dense).tobytes()
+    for (t, price), want in zip(SURFACE[::21], vols[::21]):
+        built.clear()
+        lone = g.sde_volatility(with_fresh_memo(gsol), 0, t, price)
+        assert np.array([lone]).tobytes() == np.array([want]).tobytes()
+        assert len(built) <= 2  # the degrees of its value and of its slope
 
 
 def test_201_atom_volatilities_stay_dense(bench_201, monkeypatch):
