@@ -136,8 +136,8 @@ def monotone_rearrangement(nu1: GridMeasure, alpha: GridMeasure,
     levels are located through the survival function so tail thresholds stay
     accurate. Warm thresholds from a previous nearby alpha cut the root
     finding to a couple of Newton steps. Every threshold is within 1e-13 of
-    its level on the inversion's certified fit of the mixture CDF (see
-    mixture_quantiles).
+    its level on the inversion's fit of the mixture CDF, which meets the fit
+    contract of gbass.gaussian (see mixture_quantiles).
     """
     thr = mixture_quantiles(alpha, 1.0, nu1.cum_weights[:-1], nu1.tail_weights[:-1],
                             x0=warm_thresholds)

@@ -5,7 +5,8 @@ discretized on construction, or CSV samples. All outputs are deterministic
 given the config. Every config value is read by ``_config_value`` before any
 solve: a float is any number, an int an integer or an integral float, a bool
 neither, a list not empty, and a missing or mistyped value is refused naming
-its key, as are simulation steps, paths and seed out of range.
+its key, as are simulation steps, paths and seed out of range, and flow times
+or engines that would write one output file twice.
 
 Every command is a handler ``(config, base_dir, out, seed) -> (payload,
 exit_code)`` that writes its data files under ``out``; ``run`` writes the
@@ -174,19 +175,22 @@ def _cmd_value(config: dict, base_dir: Path, out: Path, seed: int | None) -> tup
 
 def _cmd_flow(config: dict, base_dir: Path, out: Path, seed: int | None) -> tuple[dict, int]:
     times = _config_value(config, "flow_times", [0.0, 0.5, 1.0], [float])
+    labels = {}  # a time's file and mean are named by its label
     for t in times:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"flow time {t} outside [0, 1]")
+        if (label := f"{t:g}") in labels:
+            raise ValueError(f"config key 'flow_times' repeats {label}: {labels[label]} and {t}")
+        labels[label] = t
     gsol = _solve_from_config(config, base_dir)
-    files = []
-    means = {}
-    for t in times:
+    files, means = [], {}
+    for label, t in labels.items():
         mu_t = marginal_flow(gsol, t)
-        name = f"flow_t{t:g}.csv"
+        name = f"flow_t{label}.csv"
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / name, "atom,weight", mu_t.atoms[:, None], mu_t.weights[:, None])
         files.append(name)
-        means[f"{t:g}"] = mu_t.mean
+        means[label] = mu_t.mean
     return {"files": files, "means": means}, 0
 
 
@@ -194,9 +198,11 @@ def _cmd_simulate(config: dict, base_dir: Path, out: Path, seed: int | None) -> 
     sim = _config_value(config, "simulation", {}, dict)
     read = partial(_config_value, sim, name="simulation")
     engines = read("engines", ["weighted"], [str])
-    for engine in engines:
+    for i, engine in enumerate(engines):
         if engine not in ("weighted", "sde"):
             raise ValueError(f"unknown engine {engine!r}; use 'weighted' or 'sde'")
+        if engine in engines[:i]:
+            raise ValueError(f"simulation key 'engines' repeats {engine!r}")
     n_steps = read("n_steps", 200, int)
     n_paths = read("n_paths", 10000, int)
     seed = seed if seed is not None else read("seed", 0, int)

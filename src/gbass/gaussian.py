@@ -7,20 +7,23 @@ and Gauss-Hermite elsewhere. ``_gauss_sum`` is the one Gaussian sum
 sum_j w_j Phi((x - c_j) / sqrt(s)) or its density, and the one evaluator of
 the mixture CDF and SF and of a step function's smoothing fn * gamma_s and
 its slope. ``_gauss_fit`` fits that sum once on an interval, where that pays,
-by a chopped Chebyshev series certified by ``_certified_chebyshev`` to
-2^-48 * sum |w| of the dense formula; tail rows are swept densely. Where it
-saves kernel terms, the fit samples the sum on p + 1 Chebyshev proxies of
-the centres with anterpolated weights (``_proxy``), the centre side of a
-one-level separable Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
-Comput. 1991; Fong & Darve, J. Comput. Phys. 2009), whose a-priori error
-bound is part of the certificate. Each StepFn keeps one memo of proxies per
-degree (``_Proxies``), built on first use, for its fits and its sums of
-fewer than 64 rows. The one-row contract: such a sum sweeps the p + 1
-proxies of its degree, not the n thresholds, wherever that saves
-_PROXY_GAIN kernel terms a row, within 2^-52 of the scale of the dense
-formula uniformly in x; every other row, and every row at most 2^-20 of the
-scale, is the dense formula. A sum depends on its arguments alone: the memo
-changes how long a call takes, never its bits.
+by a chopped Chebyshev series (``_certified_chebyshev``). The fit contract:
+a fitted row is within 2^-48 of the scale sum |w| (over sqrt(2 pi s) for the
+density) of the dense formula, and rows outside the fit's cut, and rows at
+most 2^-20 of the scale, are the dense formula. Where it saves kernel terms,
+the fit samples the sum on p + 1 Chebyshev proxies of the centres with
+anterpolated weights (``_proxy``), the centre side of a one-level separable
+Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 1991; Fong &
+Darve, J. Comput. Phys. 2009), whose a-priori error bound is part of the
+certificate. A fit reads the centres' memo (``_Proxies``): their box, and
+their proxies per degree, built on first use. Each StepFn keeps one memo for
+its fits and its sums of fewer than 64 rows; other centres get a new memo
+per sum. The one-row contract: such a sum sweeps the p + 1 proxies of its
+degree, not the n thresholds, wherever that saves _PROXY_GAIN kernel terms a
+row, within 2^-52 of the scale of the dense formula uniformly in x; every
+other row, and every row at most 2^-20 of the scale, is the dense formula. A
+sum depends on its arguments alone: the memo changes how long a call takes,
+never its bits.
 ``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
 chebval, bit for bit, in place. ``invert_increasing`` is the one bracketed
 monotone inversion; a one-row problem, such as a one-price volatility query,
@@ -180,7 +183,7 @@ def _proxy(centers: np.ndarray, weights: np.ndarray, lo: float, hi: float,
 
 
 class _Proxies:
-    """Weighted centres and a cache of their _proxy on their box, built per degree on first call.
+    """Weighted centres, their box, and their _proxy on it per degree, built on first use.
 
     Every Gaussian sum of the centres reads it: fits and one-row sums, at any s.
     """
@@ -192,14 +195,15 @@ class _Proxies:
 
     def __call__(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         if degree not in self._built:
-            c = self.centers
-            self._built[degree] = _proxy(c, self.weights, c.min(), c.max(), degree)
+            lo, hi, _ = self.box
+            self._built[degree] = _proxy(self.centers, self.weights, lo, hi, degree)
         return self._built[degree]
 
     @cached_property
-    def _box(self) -> tuple[float, float]:
-        """Half the width of the centres' box, and sum |w|."""
-        return 0.5 * float(self.centers.max() - self.centers.min()), float(np.abs(self.weights).sum())
+    def box(self) -> tuple[float, float, float]:
+        """The least and the greatest centre, and sum |w|."""
+        c = self.centers
+        return float(c.min()), float(c.max()), float(np.abs(self.weights).sum())
 
     def sweep(self, x: np.ndarray, s: float, density: bool) -> np.ndarray:
         """_gauss_sweep of the centres on a 1-D x of few rows, by the module's one-row contract.
@@ -210,9 +214,9 @@ class _Proxies:
         c, w = self.centers, self.weights
         if self._saved < _PROXY_GAIN:  # no degree can pay
             return _gauss_sweep(x, c, w, s, density)
-        half, total = self._box
+        lo, hi, total = self.box
         root = math.sqrt(s)
-        p = _proxy_degree(half / root, density)
+        p = _proxy_degree(0.5 * (hi - lo) / root, density)
         if not c.size - (p + 1) >= _PROXY_GAIN:
             return _gauss_sweep(x, c, w, s, density)
         out = _gauss_sweep(x, *self(p), s, density)
@@ -223,37 +227,35 @@ class _Proxies:
         return out
 
 
-def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndarray,
-               density: bool, rows: int, share: float, proxies: _Proxies | None = None):
-    """The sum of _gauss_sum fitted once on the finite range of span, or None.
+def _gauss_fit(proxies: _Proxies, s: float, span: np.ndarray, density: bool, rows: int,
+               share: float):
+    """_gauss_sum of the memo's centres fitted once on the finite range of span, or None.
 
     On that range, cut where every term is within 2^-60 of its bound, a
-    chopped Chebyshev series is certified to 2^-48 * sum |w| (over
-    sqrt(2 pi s) for the density) of the dense sweep, about its own rounding,
-    while its 2 degree + 1 sample rows stay within share (at most all) of rows.
+    chopped Chebyshev series is certified to the module's fit contract, while
+    its 2 degree + 1 sample rows stay within share (at most all) of rows.
     The rows sample the sum on the p + 1 proxies of _proxy, p the least of
     _PROXY_DEGREES whose a-priori bound uniform in x is at most 2^-52 of the
     scale, when (2 degree + 1 + n)(p + 1) < (2 degree + 1) n for n centres;
     the series is then certified to (2^-48 - 2^-52) * scale of the proxy sum,
     so to 2^-48 * scale of the dense one. Otherwise they sweep the centres.
-    They come from proxies, the centres' memo (a new one if None), on the
-    first sweep, so a fit that never sweeps builds nothing.
+    The proxies come from the centres' memo on the first sweep, so a fit
+    that never sweeps builds nothing.
     None comes back for s <= 0, fewer than 64 rows, at most 64 centres, an
     empty cut or no certified fit. The result evaluates a 1-D x by Clenshaw
     inside the cut, of the series or, with slope=True, of its chebder; rows
-    outside the cut, non-finite rows and rows at most 2^-20 of their scale
-    (so tails keep their relative accuracy) get the dense sweep of the sum,
-    or of its density for the slope.
+    outside the cut, non-finite rows and the contract's tail rows get the
+    dense sweep of the sum, or of its density for the slope.
     """
-    if rows < _DENSE_SIZE or centers.size <= _DENSE_SIZE or not s > 0:
+    if rows < _DENSE_SIZE or proxies.centers.size <= _DENSE_SIZE or not s > 0:
         return None
+    centers, weights = proxies.centers, proxies.weights
     root, finite = np.sqrt(s), np.isfinite(span)
-    lo, hi = centers.min(), centers.max()
+    lo, hi, total = proxies.box
     a = max(span.min(where=finite, initial=np.inf), lo + root * _TAIL_Z)
     b = min(span.max(where=finite, initial=-np.inf), hi - root * _TAIL_Z)
     if not a < b:
         return None
-    total = np.abs(weights).sum()
     slope_scale = total / np.sqrt(2.0 * np.pi * s)
     scale = slope_scale if density else total
     degree = int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root))
@@ -262,8 +264,6 @@ def _gauss_fit(centers: np.ndarray, weights: np.ndarray, s: float, span: np.ndar
     # costs less than a kernel term (measured 3-6 ns against 14-22 ns)
     p, n = _proxy_degree(0.5 * (hi - lo) / root, density), centers.size
     proxied = (2 * degree + 1 + n) * (p + 1) < (2 * degree + 1) * n
-    if proxied and proxies is None:
-        proxies = _Proxies(centers, weights)
     coef = _certified_chebyshev(
         lambda x: _gauss_sweep(x, *(proxies(p) if proxied else (centers, weights)), s, density),
         a, b, degree, (min(share, 1.0) * rows - 1.0) / 2.0,
@@ -289,16 +289,15 @@ def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
                density: bool = False, proxies: _Proxies | None = None) -> np.ndarray:
     """sum_j weights[j] * Phi((x - centers[j]) / sqrt(s)), or the density sum.
 
-    Shaped like np.atleast_1d(x). Read off _gauss_fit on the range of x where
-    it certifies within _FIT_SHARE of the rows: within 2^-48 of the scale
-    (sum |w|, over sqrt(2 pi s) for the density) of the dense formula.
-    Fewer than _DENSE_SIZE rows with proxies, the centres' memo, are read by
-    its sweep, under the module's one-row contract. Every other row, and
-    every row at most 2^-20 of the scale, is swept densely.
+    Shaped like np.atleast_1d(x). Read off _gauss_fit, of proxies (the
+    centres' memo) or a new memo, on the range of x where it certifies within
+    _FIT_SHARE of the rows, by the module's fit contract. Fewer than
+    _DENSE_SIZE rows with proxies are read by its sweep, under the module's
+    one-row contract. Every other row is swept densely.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.ravel()
-    fit = _gauss_fit(centers, weights, s, xs, density, xs.size, _FIT_SHARE, proxies)
+    fit = _gauss_fit(proxies or _Proxies(centers, weights), s, xs, density, xs.size, _FIT_SHARE)
     if fit is not None:
         out = fit(xs)
     elif proxies is not None and xs.size < _DENSE_SIZE:
@@ -311,7 +310,7 @@ def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
 def smoothed_cdf(alpha: GridMeasure, s: float, x):
     """CDF at x of alpha convolved with a centred Gaussian of variance s.
 
-    By _gauss_sum: within 2^-48 of the dense formula, and on it where <= 2^-20.
+    By _gauss_sum, under the module's fit contract.
     """
     if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
@@ -336,12 +335,13 @@ def smoothed_sf(alpha: GridMeasure, s: float, x):
 class InversionError(RuntimeError):
     """invert_increasing ran out of steps with some row still above its tolerance.
 
-    residual is the worst |f(x) - target| among those rows; iterates holds
+    residual is the worst |f(x) - target| among the open rows; iterates holds
     every row's last evaluated iterate, shaped like the targets.
     """
 
-    def __init__(self, message: str, residual: float, iterates: np.ndarray):
-        super().__init__(message)
+    def __init__(self, steps: int, open_rows: int, rows: int, residual: float, iterates):
+        super().__init__(f"monotone inversion stalled after {steps} steps: {open_rows} of "
+                         f"{rows} rows open, worst residual {residual:.3e}")
         self.residual = residual
         self.iterates = iterates
 
@@ -358,17 +358,16 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     Each step calls f and then fprime on the rows still open only, as a 1-D
     array, so both must act componentwise. Rows are verified on f as given:
     for the Gaussian smoothings that is _gauss_sum or an inversion's
-    _gauss_fit, certified to 2^-48 of its weights' total of the dense formula
-    and dense on tail rows. A row closes at its first iterate with
-    |f(x) - target| <= max(tol, floor) and is returned at that verified
-    iterate; floor = 4 * spacing(max |target|), what float64 resolves around
-    the largest target. A row that cannot move, because its Newton step is
-    lost to rounding or its bracket is one ulp wide and the bisection rounds
-    back to x, closes at x if and only if |f(x) - target| <= floor +
+    _gauss_fit, under the module's fit contract. A row closes at its first
+    iterate with |f(x) - target| <= max(tol, floor) and is returned at that
+    verified iterate; floor = 4 * spacing(max |target|), what float64 resolves
+    around the largest target. A row that cannot move, because its Newton step
+    is lost to rounding or its bracket is one ulp wide and the bisection
+    rounds back to x, closes at x if and only if |f(x) - target| <= floor +
     |fprime(x)| * spacing(|x|), what one ulp of x moves f by. This keeps tol
-    reachable where targets or slopes are too large for any float64 x to
-    meet it. InversionError is raised as soon as a row that fails this test
-    would be evaluated at x again, or when max_iter runs out with rows open.
+    reachable where targets or slopes are too large for any float64 x to meet
+    it. InversionError is raised as soon as a row that fails this test would
+    be evaluated at x again, or when max_iter runs out with rows open.
     One target runs the same loop on floats (_invert_one): the same steps,
     calls of f and fprime (still on a 1-element array) and bits.
     """
@@ -415,10 +414,8 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
             if np.any(nxt == x):  # f is deterministic: that row would stay at x to max_iter
                 break
         x = nxt
-    worst = float(np.max(np.abs(err)))
-    raise InversionError(
-        f"monotone inversion stalled after {step} steps: {rows.size} of {targets.size} "
-        f"rows open, worst residual {worst:.3e}", worst, out.reshape(targets.shape))
+    raise InversionError(step, rows.size, targets.size, float(np.max(np.abs(err))),
+                         out.reshape(targets.shape))
 
 
 def _invert_one(f, fprime, targets, lo, hi, tol, max_iter, x0):
@@ -450,15 +447,13 @@ def _invert_one(f, fprime, targets, lo, hi, tol, max_iter, x0):
             if nxt == x:
                 break
         x = nxt
-    raise InversionError(
-        f"monotone inversion stalled after {step} steps: 1 of 1 rows open, worst residual "
-        f"{abs(err):.3e}", abs(err), np.full(targets.shape, last))
+    raise InversionError(step, 1, 1, abs(err), np.full(targets.shape, last))
 
 
-def _chebyshev_fit(f, a: float, b: float, degree: int) -> np.ndarray:
-    """Chebyshev coefficients on [a, b] of f's interpolant at degree + 1 second-kind points."""
-    nodes = np.cos(np.pi * np.arange(degree + 1) / degree)
-    coef = dct(f(0.5 * (a + b) + 0.5 * (b - a) * nodes), type=1) / degree
+def _chebyshev_fit(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of values at the degree + 1 second-kind points
+    cos(pi k / degree), k = 0..degree, of their interval: their DCT-I."""
+    coef = dct(values, type=1) / (values.size - 1)
     coef[[0, -1]] /= 2.0
     return coef
 
@@ -496,8 +491,7 @@ def _certified_chebyshev(evaluate, a: float, b: float, degree: int, max_degree: 
             values = evaluate(mid + half * np.cos(np.pi * np.arange(degree + 1) / degree))
         between = np.cos(np.pi * np.arange(1, 2 * degree, 2) / (2 * degree))
         check = evaluate(mid + half * between)
-        # the values at the fit's second-kind points are already in hand
-        coef = _chebyshev_fit(lambda _: values, a, b, degree)
+        coef = _chebyshev_fit(values)
         tail = np.cumsum(np.abs(coef[::-1]))[::-1]  # tail[k] = sum |coef[k:]|
         coef = coef[:max(1, np.count_nonzero(tail > 0.5 * bound))]
         if np.max(np.abs(_clenshaw(between, coef) - check)) <= bound:
@@ -533,8 +527,7 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
     within one dense row per level, serves both halves (the SF is 1 - fit,
     or smoothed_sf where at most 2^-20); otherwise they read smoothed_cdf
     and smoothed_sf. Every returned row is within 1e-13 of its level on that
-    function: certified to 2^-48 of the dense formula, and on the dense
-    formula itself for rows whose CDF or SF is at most 2^-20.
+    function, which meets the module's fit contract.
     """
     if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
@@ -549,7 +542,7 @@ def mixture_quantiles(alpha: GridMeasure, s: float, cum: np.ndarray, tails: np.n
     if x0 is None:
         var = float(alpha.weights @ (alpha.atoms - alpha.mean) ** 2)
         x0 = alpha.mean + np.sqrt(s + var) * z
-    fit = _gauss_fit(alpha.atoms, alpha.weights, s, np.concatenate((lo, hi)), False, cum.size, 1.0)
+    fit = _gauss_fit(_Proxies(alpha.atoms, alpha.weights), s, np.r_[lo, hi], False, cum.size, 1.0)
 
     def minus_sf(x):
         # SFs above 2^-20 read 1 - fit; the rest, and all rows without a fit, smoothed_sf
@@ -717,8 +710,8 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     ValueError; no targets give an empty result. Every returned row meets
     tol on fn.heat_convolve, or, for a StepFn with more than 64 thresholds
     and at least 64 targets, on one _gauss_fit of fn * gamma_s over the
-    bracket, within one dense row per target: both certified to 2^-48 * sum
-    of jumps of the dense formula, and on it where the sum is at most 2^-20.
+    bracket, within one dense row per target: both under the module's fit
+    contract, its scale the sum of jumps.
     With fewer targets, the bracket check and the Newton steps of a StepFn
     read one-row sums off its memo of proxies (_Proxies.sweep), under the
     module's one-row contract, its scale the sum of jumps (over
@@ -748,8 +741,8 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
         lo -= step if f_lo > y_min else 0.0
         hi += step if f_hi < y_max else 0.0
         step *= 2.0
-    fit = (_gauss_fit(fn.thresholds, fn.jumps, s, np.array([lo, hi]), False, y.size, 1.0,
-                      fn._proxies) if isinstance(fn, StepFn) else None)
+    fit = (_gauss_fit(fn._proxies, s, np.array([lo, hi]), False, y.size, 1.0)
+           if isinstance(fn, StepFn) else None)
     if fit is not None:
         f, fprime = (lambda x: fn.levels[0] + fit(x)), (lambda x: fit(x, slope=True))
     elif isinstance(fn, StepFn) and y.size < _DENSE_SIZE:

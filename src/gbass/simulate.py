@@ -7,8 +7,8 @@ samples the price measure itself, and S_t = m / F_t(W_t) needs no clamping.
 One driver, ``_drive``, steps W for both: the SDE engine differs only by the
 paper's change of measure, which reweights W_0's law by F_0 and gives W the
 Girsanov drift d/dx log F_t. It reads F_t and its slope from
-``StepFn.heat_convolve`` and ``heat_convolve_deriv``: Gaussian sums certified
-to 2^-48 of fn's range (over sqrt(2 pi s) for the slope). Every path owns a
+``StepFn.heat_convolve`` and ``heat_convolve_deriv``: Gaussian sums under the
+fit contract of gbass.gaussian, its scale fn's range. Every path owns a
 counter-based random stream keyed by (seed, path index), bit for bit numpy's
 Philox(key=[seed, index]), so ensembles are reproducible independently of
 chunking; a block's streams are computed at once, as arrays over (path,
@@ -208,7 +208,7 @@ def simulate_arithmetic(sol: BassSolution, n_steps: int, n_paths: int, seed: int
     Each path draws its component, its initial point, and its increments from
     its own stream. At t = 0 a path sits on the source atom its alpha atom
     maps to; later times read F_t through fn.heat_convolve, so marginals at
-    grid times are exact up to its certified 2^-48 of fn's range.
+    grid times are exact up to its fit contract (gbass.gaussian).
     """
     grid, u, paths = _streams(seed, n_paths, n_steps, 2)
     decomp = sol.decomposition

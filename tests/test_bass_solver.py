@@ -253,6 +253,12 @@ class TestEvalSurface:
             assert g.eval_fn(step_solution, 1.0 - 1e-4, x) == pytest.approx(level, abs=1e-3)
         assert g.eval_fn(step_solution, 1.0, 0.7) == 2.0
 
+    @pytest.mark.parametrize("t", [-0.5, 1.5])
+    @pytest.mark.parametrize("surface", [g.eval_fn, g.eval_fn_deriv], ids=["value", "slope"])
+    def test_time_outside_the_unit_interval_raises(self, step_solution, surface, t):
+        with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1\]"):
+            surface(step_solution, t, 0.0)
+
     def test_deriv_undefined_at_terminal_time(self, step_solution):
         with pytest.raises(ValueError):
             g.eval_fn_deriv(step_solution, 1.0, 0.0)

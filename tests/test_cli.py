@@ -80,20 +80,25 @@ def test_sde_component_index_out_of_range_is_an_input_error(tmp_path, capsys, in
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-8])
-@pytest.mark.parametrize("mu1_atoms, code", [([0.5, 1.5 + 1.5e-7], 0), ([0.9, 1.3], 2)],
-                         ids=["small-gap", "large-gap"])
-def test_mean_gap_is_corrected_below_1e_6_of_the_mean(tmp_path, capsys, scale, mu1_atoms, code):
-    # mu1's mean is 1 + 7.5e-8 or 1.1 times mu0's: the first is shifted onto
-    # mu0's mean, the second refused naming the gap, at either price scale
+@pytest.mark.parametrize("mu1_atoms, refusal", [
+    ([0.5, 1.5 + 1.5e-7], None),
+    ([0.9, 1.3], "marginal means differ by {:.3e}"),
+    ([4e-7, 2.0000006], "mean correction would break positive support"),
+], ids=["small-gap", "large-gap", "negative-atom"])
+def test_mean_gap_is_corrected_below_1e_6_of_the_mean(tmp_path, capsys, scale, mu1_atoms, refusal):
+    # mu1's mean is 1 + 7.5e-8, 1.1 or 1 + 5e-7 times mu0's: the first is shifted
+    # onto mu0's mean, the second refused naming the gap, and the third refused
+    # as its shift would move the atom 4e-7 to -1e-7, at either price scale
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "mu0": {"atoms": [scale], "weights": [1.0]},
         "mu1": {"atoms": [a * scale for a in mu1_atoms], "weights": [0.5, 0.5]}}))
-    assert cli.run(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    code = cli.run(["check", "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    if code:
-        assert err.startswith(f"invalid input: marginal means differ by {-0.1 * scale:.3e}")
+    if refusal:
+        assert code == 2 and err.startswith(f"invalid input: {refusal.format(-0.1 * scale)}")
     else:
+        assert code == 0
         assert err == ""
         mu0, mu1 = cli.build_marginals(json.loads(config.read_text()), tmp_path)
         assert mu1.mean == pytest.approx(mu0.mean, rel=1e-15, abs=0.0)
@@ -192,11 +197,18 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, o
     ("simulate", {"simulation": {"n_paths": 0}}, "n_paths"),
     ("simulate", {"simulation": {"n_steps": 0}}, "n_steps"),
     ("simulate", {"simulation": {"seed": -1}}, "seed"),
+    # 0.5 and 0.5000001 both format as 0.5, so both would write flow_t0.5.csv
+    ("flow", {"flow_times": [0.5, 0.5000001, 0.25]}, "flow_times"),
+    ("simulate", {"simulation": {"engines": ["weighted", "weighted"]}}, "engines"),
+    ("solve", {"mu1": {"family": "bogus"}}, "bogus"),
+    # the message names the keys a spec needs, of which it has none
+    ("solve", {"mu1": {"grid_size": 41}}, "atoms"),
 ], ids=["max_iterations", "sigma_bar", "Sigma_bar", "n_paths", "component_index", "engine",
         "simulation", "flow_times", "output_dir", "meanlog", "varlog-missing", "components",
         "component", "component-weight", "atoms", "weights-missing", "csv", "bins", "grid_size",
         "p1", "solver", "n_paths-float", "n_paths-bool", "sigma_bar-bool", "step_tolerance-zero",
-        "flow_times-empty", "engines-empty", "n_paths-zero", "n_steps-zero", "seed-negative"])
+        "flow_times-empty", "engines-empty", "n_paths-zero", "n_steps-zero", "seed-negative",
+        "flow_times-repeated", "engines-repeated", "family-unknown", "spec-kind-missing"])
 def test_malformed_value_is_named_before_any_solve(tmp_path, monkeypatch, capsys,
                                                    command, config, key):
     solves = []

@@ -130,6 +130,24 @@ def test_family_refuses_non_finite_parameter_by_name(family, message):
         discretize_family(family(), 11, TRUNCATION)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Mixture([Lognormal(0.0, 0.04), Lognormal(0.1, 0.04)], [1.0, -0.5]),
+     "mixture weights must be nonnegative with positive sum"),
+    (lambda: discretize_family(Lognormal(MEANLOG, VARLOG), 2, TRUNCATION),
+     "grid size must be at least 3, got 2"),
+    (lambda: discretize_family(Lognormal(MEANLOG, VARLOG), 11, 0.5),
+     r"truncation quantile must lie in \(0, 0.5\), got 0.5"),
+    (lambda: discretize_family(Lognormal(MEANLOG, VARLOG), 11, 0.0),
+     r"truncation quantile must lie in \(0, 0.5\), got 0.0"),
+    (lambda: discretize_samples([], 3), "empty sample"),
+    (lambda: discretize_samples([1.0, 2.0], 0), "need at least one bin"),
+], ids=["mixture-negative-weight", "grid-size", "truncation-half", "truncation-zero",
+        "empty-sample", "no-bins"])
+def test_refuses_invalid_input_by_message(call, message):
+    with pytest.raises(MeasureError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)], ids=["empty", "reversed"])
 def test_uniform_refuses_an_interval_without_interior(a, b):
     with pytest.raises(MeasureError, match=f"uniform needs a < b, got \\[{a}, {b}\\]"):

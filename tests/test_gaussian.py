@@ -179,6 +179,14 @@ class TestHeatConvolve:
         assert g.heat_convolve(step, 0.0, 0.0) == 0.0
         assert g.heat_convolve(step, 0.0, 0.5) == 2.0
 
+    def test_zero_variance_reads_a_callable_at_x_alone(self):
+        # no Gauss-Hermite nodes: the callable sees x itself, once, and is returned as is
+        seen = []
+        fn = g.CallableFn(lambda y: seen.append(np.shape(y)) or np.tanh(y), -1.0, 1.0)
+        x = np.array([-2.0, 0.3, 5.0])
+        assert np.array_equal(g.heat_convolve(fn, 0.0, x), np.tanh(x))
+        assert seen == [(3,)]
+
     def test_monotone_in_x(self):
         rng = np.random.default_rng(5)
         step = g.StepFn([-0.5, 0.7], [0.0, 1.0, 3.0])
@@ -526,6 +534,17 @@ class TestInvertIncreasingAgainstReference:
         assert_same_as_reference(f, fprime, (targets, lo, hi),
                                  dict(tol=10.0 ** rng.uniform(-15, -8), max_iter=max_iter, x0=x0))
 
+    def test_every_open_row_closes_at_once_by_the_stuck_rule(self):
+        # two steep rows whose roots 1 + 1e-16 and 1 + 2e-16 lie between the
+        # floats 1 and 1 + 2.2e-16: both get stuck at the third step and close
+        # there, as one ulp of x explains their residuals, with no row left to evaluate
+        f, fprime = INVERSION_PROBLEMS["steep"]
+        calls, targets = CountingFn(f), np.array([1e-8, 2e-8])
+        x = invert_increasing(calls, fprime, targets, 0.5, 1.5, tol=1e-12)
+        assert np.array_equal(x, [1.0, 1.0 + np.spacing(1.0)])
+        assert [c.size for c in calls.calls] == [2, 2, 2]
+        assert_same_as_reference(f, fprime, (targets, 0.5, 1.5), dict(tol=1e-12))
+
 
 class TestInvertOneRowAgainstReference:
     """The one-row loop on floats against the array loop of tests/_oracles.py, bit for bit."""
@@ -580,9 +599,9 @@ def break_fits(monkeypatch, kind):
     """
     fits = []
 
-    def broken(f, a, b, degree):
-        fits.append(degree)
-        coef = fit(f, a, b, degree)
+    def broken(values):
+        fits.append(values.size - 1)
+        coef = fit(values)
         return coef + 1e-3 if kind == "shifted" else np.full_like(coef, np.nan)
 
     fit = gaussian._chebyshev_fit
@@ -783,9 +802,9 @@ def count_fits(monkeypatch, shift: float = 0.0) -> list:
     fits = []
     fit = gaussian._chebyshev_fit
 
-    def counted(f, a, b, degree):
-        fits.append(degree)
-        return fit(f, a, b, degree) + shift
+    def counted(values):
+        fits.append(values.size - 1)
+        return fit(values) + shift
 
     monkeypatch.setattr(gaussian, "_chebyshev_fit", counted)
     return fits
@@ -999,10 +1018,10 @@ class TestProxy:
             cuts.append((a, b))
             return certify(evaluate, a, b, *args)
 
-        def recorded_fit(centers, weights, s, span, density, *args):
-            evaluate = fit(centers, weights, s, span, density, *args)
+        def recorded_fit(memo, s, span, density, *args):
+            evaluate = fit(memo, s, span, density, *args)
             if evaluate is not None:
-                fits.append((centers, weights, s, density, cuts[-1], evaluate))
+                fits.append((memo.centers, memo.weights, s, density, cuts[-1], evaluate))
             return evaluate
 
         def recorded_proxy(*args):
@@ -1051,6 +1070,22 @@ class TestOneRowSums:
         one_row = [gaussian._gauss_sweep(x[i:i + 1], c, w, s, density)[0]
                    for i in np.flatnonzero(tail)]
         assert tail.any() and np.array_equal(got[tail], one_row)
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_dense_where_no_proxy_degree_pays(self, request, monkeypatch, density):
+        # at s = 1e-3 the 1001 thresholds need proxies of degree 1536 (1024 for the
+        # density), which save too few kernel terms: every row is the dense sweep,
+        # and no proxy is built
+        fn, built, proxy = self.fresh(request, 1001), [], gaussian._proxy
+        monkeypatch.setattr(gaussian, "_proxy",
+                            lambda *args: built.append(args[-1]) or proxy(*args))
+        c, w, s = fn.thresholds, fn.jumps, 1e-3
+        p = gaussian._proxy_degree(0.5 * (c[-1] - c[0]) / np.sqrt(s), density)
+        assert p == (1024 if density else 1536) and c.size - (p + 1) < gaussian._PROXY_GAIN
+        x = np.linspace(c[0], c[-1], 40)
+        got = [gaussian._gauss_sum(row, c, w, s, density, fn._proxies)[0] for row in x]
+        want = [gaussian._gauss_sweep(x[i:i + 1], c, w, s, density)[0] for i in range(x.size)]
+        assert got == want and built == []
 
     def test_a_fit_and_the_one_row_sums_share_the_memo(self, request, monkeypatch):
         fn, built, proxy = self.fresh(request, 1001), [], gaussian._proxy

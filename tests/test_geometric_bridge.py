@@ -161,6 +161,19 @@ def test_sde_volatility_accepts_the_flow_atoms(bench_201, t):
     assert np.all(vols[past] == 0.0)
 
 
+@pytest.mark.parametrize("t", [-0.5, 1.5])
+def test_marginal_flow_refuses_a_time_outside_the_unit_interval(geometric_step_solution, t):
+    with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1\]"):
+        g.marginal_flow(geometric_step_solution, t)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_sde_volatility_refuses_the_end_times(geometric_step_solution, t):
+    # at t = 1 the slope of the step function is undefined
+    with pytest.raises(ValueError, match=rf"time {t} must lie strictly inside \(0, 1\)"):
+        g.sde_volatility(geometric_step_solution, 0, t, 1.0)
+
+
 def test_sde_volatility_slack_past_the_bounds_is_two_to_the_minus_50(geometric_step_solution):
     # fn's image is [2/3, 2] and m = 1: m / s within 2^-50 of the width past a bound
     # gets the limit slope 0.0, and further out the price is refused

@@ -81,6 +81,24 @@ class TestConstruction:
         with pytest.raises(MeasureError, match="index 1"):
             g.make_grid_measure([0.0, np.nan], [0.5, 0.5])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: g.make_grid_measure([0.5, 1.5], [1.0]),
+         r"atoms \(2\) and weights \(1\) differ in length"),
+        (lambda: g.make_grid_measure([0.5, 1.5], [0.0, 0.0]), "weights sum to zero"),
+        (lambda: g.normalize_to_unit_mean(g.make_grid_measure([-2.0, 1.0], [0.5, 0.5])),
+         "cannot normalize: mean -0.5 is not positive"),
+        (lambda: g.moment(g.make_grid_measure([0.5, 1.5], [0.5, 0.5]), "exp"),
+         "unknown moment flag 'exp'"),
+    ], ids=["lengths", "zero-sum", "normalize-negative-mean", "moment-flag"])
+    def test_refuses_invalid_input_by_message(self, call, message):
+        with pytest.raises(MeasureError, match=message):
+            call()
+
+    def test_dict_round_trip(self):
+        mu = g.make_grid_measure([1.5, 0.5, 2.0], [0.3, 0.2, 0.5])
+        back = g.GridMeasure.from_dict(mu.to_dict())
+        assert np.array_equal(back.atoms, mu.atoms) and np.array_equal(back.weights, mu.weights)
+
     def test_positive_support_flag(self):
         assert g.make_grid_measure([0.5, 1.0], [0.5, 0.5]).positive_support
         assert not g.make_grid_measure([0.0, 1.0], [0.5, 0.5]).positive_support
