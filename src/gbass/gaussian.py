@@ -23,7 +23,10 @@ degree, not the n thresholds, wherever that saves _PROXY_GAIN kernel terms a
 row, within 2^-52 of the scale of the dense formula uniformly in x; every
 other row, and every row at most 2^-20 of the scale, is the dense formula. A
 sum depends on its arguments alone: the memo changes how long a call takes,
-never its bits.
+never its bits. A one-target inversion of a StepFn reads the value and the
+slope at each iterate from one pass (``_Proxies.pair``): the two one-row sums
+bit for bit, each of its own degree and tail rows, with z = (x - c) / sqrt(s)
+made once where both sweep the same centres.
 ``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
 chebval, bit for bit, in place. ``invert_increasing`` is the one bracketed
 monotone inversion; a one-row problem, such as a one-price volatility query,
@@ -211,19 +214,42 @@ class _Proxies:
         The proxies are of _gauss_fit's degree p, and their 2^-52 bound
         (_proxy_reach) is of the scale sum |w|, over sqrt(2 pi s) for the density.
         """
-        c, w = self.centers, self.weights
-        if self._saved < _PROXY_GAIN:  # no degree can pay
-            return _gauss_sweep(x, c, w, s, density)
-        lo, hi, total = self.box
+        c, w = self._swept(math.sqrt(s), density)
+        return self._dense_tail(_gauss_sweep(x, c, w, s, density), c, x, s, density)
+
+    def pair(self, x: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """sweep(x, s, False) and sweep(x, s, True), bit for bit, in one pass over a 1-D x of few
+        rows: each of its own degree and tail rows, z = (x - c) / sqrt(s) made once for both
+        where they sweep the same centres."""
         root = math.sqrt(s)
-        p = _proxy_degree(0.5 * (hi - lo) / root, density)
-        if not c.size - (p + 1) >= _PROXY_GAIN:
-            return _gauss_sweep(x, c, w, s, density)
-        out = _gauss_sweep(x, *self(p), s, density)
-        tail = 2.0 ** -20 * total / (math.sqrt(2.0 * math.pi) * root if density else 1.0)
+        (c, w), (slope_c, _) = self._swept(root, False), self._swept(root, True)
+        if c is not slope_c:
+            return self.sweep(x, s, False), self.sweep(x, s, True)
+        z = (x[:, None] - c[None, :]) / np.sqrt(s)  # _gauss_sweep's kernels on its one chunk
+        value, slope = ndtr(z) @ w, np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * s) @ w
+        return self._dense_tail(value, c, x, s, False), self._dense_tail(slope, c, x, s, True)
+
+    def _swept(self, root: float, density: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The centres and weights a one-row sum at sqrt(s) = root sweeps: the proxies of its
+        degree where they save _PROXY_GAIN kernel terms a row, else the centres."""
+        if self._saved >= _PROXY_GAIN:  # else no degree can pay
+            lo, hi, _ = self.box
+            p = _proxy_degree(0.5 * (hi - lo) / root, density)
+            if self.centers.size - (p + 1) >= _PROXY_GAIN:
+                return self(p)
+        return self.centers, self.weights
+
+    def _dense_tail(self, out: np.ndarray, swept: np.ndarray, x: np.ndarray, s: float,
+                    density: bool) -> np.ndarray:
+        """out, x's sums over the centres swept, with a proxy sum's rows at most 2^-20 of the
+        scale swept densely."""
+        if swept is self.centers:
+            return out
+        tail = 2.0 ** -20 * self.box[2] / (math.sqrt(2.0 * math.pi) * math.sqrt(s) if density
+                                           else 1.0)
         if any(abs(v) <= tail for v in out.tolist()):  # a Python loop: few rows
             dense = np.abs(out) <= tail
-            out[dense] = _gauss_sweep(x[dense], c, w, s, density)
+            out[dense] = _gauss_sweep(x[dense], self.centers, self.weights, s, density)
         return out
 
 
@@ -355,10 +381,11 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     Brackets must be valid on entry: f(lo) <= target <= f(hi). A warm start
     x0 (clipped into the bracket) makes repeated nearby solves near-free.
 
-    Each step calls f and then fprime on the rows still open only, as a 1-D
-    array, so both must act componentwise. Rows are verified on f as given:
-    for the Gaussian smoothings that is _gauss_sum or an inversion's
-    _gauss_fit, under the module's fit contract. A row closes at its first
+    Each step calls f on the rows still open, then fprime on those of them
+    that stay open, each as a 1-D array, so both must act componentwise;
+    where no row closed, fprime gets the very array f got. Rows are verified
+    on f as given: for the Gaussian smoothings that is _gauss_sum or an
+    inversion's _gauss_fit, under the module's fit contract. A row closes at its first
     iterate with |f(x) - target| <= max(tol, floor) and is returned at that
     verified iterate; floor = 4 * spacing(max |target|), what float64 resolves
     around the largest target. A row that cannot move, because its Newton step
@@ -369,7 +396,8 @@ def invert_increasing(f, fprime, targets, lo, hi, tol: float, max_iter: int = 20
     it. InversionError is raised as soon as a row that fails this test would
     be evaluated at x again, or when max_iter runs out with rows open.
     One target runs the same loop on floats (_invert_one): the same steps,
-    calls of f and fprime (still on a 1-element array) and bits.
+    calls of f and fprime and bits, fprime on the 1-element array f got, so
+    one pass may serve both (heat_convolve_inverse's pair pass does).
     """
     targets = np.asarray(targets, dtype=float)
     if targets.size == 1:
@@ -422,10 +450,10 @@ def _invert_one(f, fprime, targets, lo, hi, tol, max_iter, x0):
     """invert_increasing's loop on its one row, with the row's state held as floats."""
     t = float(targets.flat[0])
     lo, hi = (float(np.asarray(b, dtype=float).flat[0]) for b in (lo, hi))
-    x = 0.5 * (lo + hi) if x0 is None else float(np.clip(x0, lo, hi).flat[0])
-    floor = 4.0 * float(np.spacing(abs(t)))
+    x = 0.5 * (lo + hi) if x0 is None else min(max(float(np.asarray(x0).flat[0]), lo), hi)
+    floor = 4.0 * _spacing(abs(t))
     close = max(tol, floor)
-    last, err, step = x, np.inf, 0
+    last, err, step = x, math.inf, 0
     for step in range(1, max_iter + 1):
         at = np.array([x])
         last, err = x, float(f(at)[0]) - t  # the last evaluated iterate and its residual
@@ -435,19 +463,26 @@ def _invert_one(f, fprime, targets, lo, hi, tol, max_iter, x0):
             hi = x
         if err <= 0.0:
             lo = x
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            slope = float(fprime(at)[0])
-            # a zero slope divides as numpy does, to inf or NaN
-            cand = x - (err / slope if slope else float(np.divide(err, slope)))
+        slope = float(fprime(at)[0])
+        if slope:
+            cand = x - err / slope
+        else:  # a zero slope divides as numpy does, to inf or NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = x - float(np.divide(err, slope))
         bad = not math.isfinite(cand) or cand <= lo or cand >= hi
         nxt = 0.5 * (lo + hi) if bad else cand
         if cand == x or nxt == x:
-            if abs(err) <= floor + abs(slope) * float(np.spacing(abs(x))):
+            if abs(err) <= floor + abs(slope) * _spacing(abs(x)):
                 return np.full(targets.shape, x)
             if nxt == x:
                 break
         x = nxt
     raise InversionError(step, 1, 1, abs(err), np.full(targets.shape, last))
+
+
+def _spacing(v: float) -> float:
+    """np.spacing(v) of a float v >= 0 or NaN: math.ulp(v), but NaN at inf."""
+    return math.ulp(v) if v < math.inf else math.nan
 
 
 def _chebyshev_fit(values: np.ndarray) -> np.ndarray:
@@ -632,7 +667,7 @@ class StepFn(MonotoneFn):
         out = self.levels[idx]
         return float(out) if out.ndim == 0 else out
 
-    def heat_convolve(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
+    def heat_convolve(self, s: float, x):
         """(fn * gamma_s)(x) as levels[0] plus Gaussian-CDF-weighted jumps.
 
         For s > 0 this is strictly increasing in exact arithmetic, but once
@@ -648,7 +683,7 @@ class StepFn(MonotoneFn):
         out = self.levels[0] + _gauss_sum(x, self.thresholds, self.jumps, s, False, self._proxies)
         return float(out[0]) if x.ndim == 0 else out
 
-    def heat_convolve_deriv(self, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
+    def heat_convolve_deriv(self, s: float, x):
         if not s > 0:
             raise ValueError(f"variance must be positive, got {s}")
         x = np.asarray(x, dtype=float)
@@ -687,14 +722,14 @@ class TableFn(CallableFn):
         self.ends = float(xs[0]), float(xs[-1])
 
 
-def heat_convolve(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
+def heat_convolve(fn: MonotoneFn, s: float, x):
     """(fn * gamma_s)(x): Gaussian smoothing of a monotone function."""
-    return fn.heat_convolve(s, x, n_nodes)
+    return fn.heat_convolve(s, x)
 
 
-def heat_convolve_deriv(fn: MonotoneFn, s: float, x, n_nodes: int = DEFAULT_GH_NODES):
+def heat_convolve_deriv(fn: MonotoneFn, s: float, x):
     """Spatial derivative of the Gaussian smoothing; nonnegative for monotone fn."""
-    return fn.heat_convolve_deriv(s, x, n_nodes)
+    return fn.heat_convolve_deriv(s, x)
 
 
 def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> np.ndarray:
@@ -712,16 +747,26 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     and at least 64 targets, on one _gauss_fit of fn * gamma_s over the
     bracket, within one dense row per target: both under the module's fit
     contract, its scale the sum of jumps.
-    With fewer targets, the bracket check and the Newton steps of a StepFn
+    The bracket check of a StepFn, and with fewer targets its Newton steps,
     read one-row sums off its memo of proxies (_Proxies.sweep), under the
-    module's one-row contract, its scale the sum of jumps (over
-    sqrt(2 pi s) for the slope).
+    module's one-row contract, its scale the sum of jumps (over sqrt(2 pi s)
+    for the slope). One target reads F and F' at each iterate from one pass
+    (_Proxies.pair), the same bits as the two sums.
+    """
+    return _heat_inverse(fn, s, y, tol, x0)[0]
+
+
+def _heat_inverse(fn: MonotoneFn, s: float, y, tol: float, x0):
+    """heat_convolve_inverse's roots, and the slope (fn * gamma_s)' at them, or None.
+
+    The slope comes back for one target of a StepFn: the one its last pass
+    read, which is fn.heat_convolve_deriv(s, root) bit for bit.
     """
     if not s > 0:
         raise ValueError(f"variance must be positive, got {s}")
     y = np.asarray(y, dtype=float)
     if y.size == 0:
-        return np.empty(y.shape)
+        return np.empty(y.shape), None
     y_min, y_max = y.min(), y.max()
     ends, root = fn.ends, np.sqrt(s)
     if ends is not None and fn.lower < y_min and y_max < fn.upper:
@@ -731,9 +776,13 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     else:
         e0, e1 = ends or (0.0, 0.0)
         lo, hi = e0 - 9.0 * root, e1 + 9.0 * root
-    step = 1.0
+    step, step_fn = 1.0, isinstance(fn, StepFn)
+    # fn.heat_convolve reads fewer than 64 rows of a StepFn, as the bracket's two, off its sweep
+    sweep = fn._proxies.sweep if step_fn else None
+    smoothed = ((lambda x: fn.levels[0] + sweep(x, s, False)) if step_fn
+                else (lambda x: fn.heat_convolve(s, x)))
     while True:
-        f_lo, f_hi = fn.heat_convolve(s, np.array([lo, hi]))
+        f_lo, f_hi = smoothed(np.array([lo, hi]))
         if f_lo <= y_min and f_hi >= y_max:
             break
         if step > 1e12:
@@ -742,13 +791,25 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
         hi += step if f_hi < y_max else 0.0
         step *= 2.0
     fit = (_gauss_fit(fn._proxies, s, np.array([lo, hi]), False, y.size, 1.0)
-           if isinstance(fn, StepFn) else None)
+           if step_fn and y.size >= _DENSE_SIZE else None)
+    last = None  # the one-target pass: [its iterate array, its slope]
     if fit is not None:
         f, fprime = (lambda x: fn.levels[0] + fit(x)), (lambda x: fit(x, slope=True))
-    elif isinstance(fn, StepFn) and y.size < _DENSE_SIZE:
-        # _gauss_sum reads fewer rows off fn's memo: the Newton steps call its sweep directly
-        sweep = fn._proxies.sweep
-        f, fprime = (lambda x: fn.levels[0] + sweep(x, s, False)), (lambda x: sweep(x, s, True))
+    elif step_fn and y.size == 1:
+        pair, last = fn._proxies.pair, [None, None]
+
+        def f(x):
+            value, slope = pair(x, s)
+            last[:] = x, slope
+            return fn.levels[0] + value
+
+        def fprime(x):  # the slope of f's pass at this iterate
+            return last[1] if x is last[0] else sweep(x, s, True)
+    elif step_fn and y.size < _DENSE_SIZE:
+        f, fprime = smoothed, (lambda x: sweep(x, s, True))
     else:
         f, fprime = (lambda x: fn.heat_convolve(s, x)), (lambda x: fn.heat_convolve_deriv(s, x))
-    return invert_increasing(f, fprime, y, lo, hi, tol=tol, x0=x0)
+    x = invert_increasing(f, fprime, y, lo, hi, tol=tol, x0=x0)
+    if last is None or last[0][0] != x.flat[0]:
+        return x, None
+    return x, last[1].reshape(x.shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bass_solver import BassSolution, SolverParams, _solve_components
-from .gaussian import gauss_hermite, heat_convolve_inverse
+from .gaussian import _heat_inverse, gauss_hermite
 from .measures import (GridMeasure, MeasureError, _decompose, _potential_gap, make_grid_measure,
                        reflect_measure)
 
@@ -139,11 +139,13 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
     within half an ulp of a bound and as marginal_flow's atoms m / y land
     1-4 ulps past one, gets the slope's limit there, 0.0. The others are
     solved by one heat_convolve_inverse, to 1e-12 on F, started at fn's own
-    inverse, the threshold where the step function passes m / s, and their
-    slopes are read by one heat_convolve_deriv. Fewer than 64 prices in a
-    call read F and F' as one-row sums under gaussian's one-row contract
-    (proxies never pay at 200 thresholds), which moves a volatility of the
-    1001-atom bench pair by 1e-15; a volatility is a function of its arguments alone.
+    inverse, the threshold where the step function passes m / s. One price
+    takes its slope from the pass that read F at its root, where each Newton
+    iterate reads F and F' together; more prices read theirs by one
+    heat_convolve_deriv, the same bits. Fewer than 64 prices in a call read
+    F and F' as one-row sums under gaussian's one-row contract (proxies
+    never pay at 200 thresholds), which moves a volatility of the 1001-atom
+    bench pair by 1e-15; a volatility is a function of its arguments alone.
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"time {t} must lie strictly inside (0, 1)")
@@ -162,6 +164,8 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
         raise ValueError(f"price {flat[i]}{at} {why}")
     inner, vol = (fn.lower < target) & (target < fn.upper), np.zeros(flat.shape)
     x0 = fn.thresholds[np.searchsorted(fn.levels, target[inner]) - 1]
-    x_star = heat_convolve_inverse(fn, 1.0 - t, target[inner], tol=1e-12, x0=x0)
-    vol[inner] = flat[inner] / gsol.m * fn.heat_convolve_deriv(1.0 - t, x_star)
+    x_star, slope = _heat_inverse(fn, 1.0 - t, target[inner], 1e-12, x0)
+    if slope is None:
+        slope = fn.heat_convolve_deriv(1.0 - t, x_star)
+    vol[inner] = flat[inner] / gsol.m * slope
     return float(vol[0]) if prices.ndim == 0 else vol.reshape(prices.shape)

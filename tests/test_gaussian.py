@@ -581,6 +581,12 @@ class TestInvertOneRowAgainstReference:
                                      dict(tol=0.0, max_iter=max_iter,
                                           x0=None if x0 is None else np.array([x0])))
 
+    @pytest.mark.parametrize("target, hi", [(np.inf, 1.5), (0.5, np.inf)])
+    def test_an_infinite_target_or_bound_stalls_as_numpy_spaces_it(self, target, hi):
+        # np.spacing is NaN at inf, where math.ulp is inf: no such row closes on the floor
+        f, fprime = INVERSION_PROBLEMS["tanh"]
+        assert_same_as_reference(f, fprime, (np.array([target]), -1.0, hi), dict(tol=1e-12))
+
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
     @pytest.mark.parametrize("name", sorted(INVERSION_PROBLEMS))
     def test_result_and_iterates_are_shaped_like_the_targets(self, name, shape):
@@ -709,7 +715,8 @@ def rows_counter(monkeypatch):
     """Count rows and certified fits of the Gaussian sums and inversions.
 
     exact: rows asked of the mixture CDF/SF and of StepFn smoothing, on
-    whichever path the sum takes. fits: _certified_chebyshev calls, made by
+    whichever path the sum takes, the one-target inversion's pair passes
+    (_Proxies.pair) included. fits: _certified_chebyshev calls, made by
     a Gaussian sum or an inversion; fit_rows: the dense rows they take.
     dense: every other row of the dense kernel, the density's included.
     """
@@ -739,6 +746,10 @@ def rows_counter(monkeypatch):
     monkeypatch.setattr(gaussian, "smoothed_cdf", counted(gaussian.smoothed_cdf))
     monkeypatch.setattr(gaussian, "smoothed_sf", counted(gaussian.smoothed_sf))
     monkeypatch.setattr(g.StepFn, "heat_convolve", counted(g.StepFn.heat_convolve))
+    pair = gaussian._Proxies.pair
+    monkeypatch.setattr(gaussian._Proxies, "pair",
+                        lambda proxies, x, s: rows.update(exact=rows["exact"] + x.size)
+                        or pair(proxies, x, s))
     monkeypatch.setattr(gaussian, "_certified_chebyshev", counted_certify)
     monkeypatch.setattr(gaussian, "_gauss_sweep", counted_sweep)
     return rows
@@ -1098,3 +1109,25 @@ class TestOneRowSums:
         dense = [fn.levels[0] + gaussian._gauss_sweep(x[i:i + 1], fn.thresholds, fn.jumps, 0.5,
                                                       False)[0] for i in range(0, x.size, 10)]
         assert built == [p] and rows != dense
+
+    @pytest.mark.parametrize("grid_size, s, degrees", [
+        (1001, 0.5, [64, 64]), (1001, 0.75, [64, 48]), (1001, 0.7, [64, 48]),
+        (1001, 0.35, [96, 64]), (201, 0.5, None)])
+    def test_pair_is_the_two_sweeps_bit_for_bit(self, request, grid_size, s, degrees):
+        # the proxy degrees of the value and of the density agree, differ, or, at
+        # 200 thresholds, none pays; rows in each kernel's 2^-20 tail included
+        fn = self.fresh(request, grid_size)
+        proxies, c, root = fn._proxies, fn.thresholds, np.sqrt(s)
+        if degrees is None:
+            assert proxies._saved < gaussian._PROXY_GAIN
+        else:
+            half = 0.5 * (c[-1] - c[0]) / root
+            assert [gaussian._proxy_degree(half, density) for density in (False, True)] == degrees
+        x = np.linspace(c[0] - 9.0 * root, c[-1] + 9.0 * root, 200)
+        tail = 2.0 ** -20 * np.sum(fn.jumps)
+        dense = [gaussian._gauss_sweep(x, c, fn.jumps, s, density) for density in (False, True)]
+        assert np.any(dense[0] <= tail) and np.any(dense[1] <= tail / np.sqrt(2.0 * np.pi * s))
+        for rows in [x[i:i + 1] for i in range(x.size)] + [x[:3], x[::40]]:
+            value, slope = proxies.pair(rows, s)
+            assert value.tobytes() == proxies.sweep(rows, s, False).tobytes()
+            assert slope.tobytes() == proxies.sweep(rows, s, True).tobytes()

@@ -97,17 +97,19 @@ def test_sde_volatility_array_matches_scalar_loop(bench_201):
 
 
 def test_sde_volatility_warm_start_saves_sweeps(bench_201, monkeypatch):
-    # one sweep brackets, each Newton step sweeps F and F', one more reads the
-    # slope: 9.0 per price from the step function's inverse, 11.1 from the
-    # bracket's midpoint
+    # one sweep brackets, then each Newton iterate reads F and F' from one pass,
+    # and the last pass gives the root's slope: 5.0 passes per price from the
+    # step function's inverse
     sweeps = []
-    sweep = gaussian._gauss_sweep
+    sweep, pair = gaussian._gauss_sweep, gaussian._Proxies.pair
     monkeypatch.setattr(gaussian, "_gauss_sweep", lambda x, *a: sweeps.append(x.size) or sweep(x, *a))
+    monkeypatch.setattr(gaussian._Proxies, "pair",
+                        lambda proxies, x, s: sweeps.append(x.size) or pair(proxies, x, s))
     points = [(t, math.exp(SIGMA * math.sqrt(t) * z - 0.06 * t))
               for t in np.linspace(0.1, 0.9, 9) for z in np.linspace(-2.0, 2.0, 9)]
     for t, price in points:
         g.sde_volatility(bench_201, 0, t, price)
-    assert len(sweeps) <= 9.5 * len(points)
+    assert len(sweeps) <= 5.5 * len(points)
     sweeps.clear()
     g.sde_volatility(bench_201, 0, 0.5, np.array([p for _, p in points[36:45]]))
     assert len(sweeps) <= 11  # one bracket, then F and F' for all nine prices at each step
@@ -333,6 +335,20 @@ def test_a_volatility_does_not_depend_on_earlier_calls(surfaced, monkeypatch):
         lone = g.sde_volatility(with_fresh_memo(gsol), 0, t, price)
         assert np.array([lone]).tobytes() == np.array([want]).tobytes()
         assert len(built) <= 2  # the degrees of its value and of its slope
+
+
+@pytest.mark.parametrize("grid_size, points", [(1001, SURFACE), (201, SURFACE_201)])
+def test_surface_is_the_slope_at_the_inverse(request, grid_size, points):
+    # each one-price call takes its root's slope from the inversion's last pass
+    gsol = request.getfixturevalue(f"bench_{grid_size}")
+    fn, m = gsol.arithmetic.component_solutions[0].fn, gsol.m
+    want = []
+    for t, price in points:
+        target = np.array([m / price])
+        x0 = fn.thresholds[np.searchsorted(fn.levels, target) - 1]
+        x_star = gaussian.heat_convolve_inverse(fn, 1.0 - t, target, 1e-12, x0)
+        want.append((price / m * fn.heat_convolve_deriv(1.0 - t, x_star))[0])
+    assert scalar_surface(gsol, points).tobytes() == np.array(want).tobytes()
 
 
 def test_201_atom_volatilities_stay_dense(bench_201, monkeypatch):
