@@ -23,8 +23,9 @@ degree, not the n thresholds, wherever that saves _PROXY_GAIN kernel terms a
 row, within 2^-52 of the scale of the dense formula uniformly in x; every
 other row, and every row at most 2^-20 of the scale, is the dense formula. A
 sum depends on its arguments alone: the memo changes how long a call takes,
-never its bits. A one-target inversion of a StepFn reads the value and the
-slope at each iterate from one pass (``_Proxies.pair``): the two one-row sums
+never its bits; all it depends on but x is resolved once per call and s
+(``_OneRow``). A one-target inversion of a StepFn reads the value and the
+slope at each iterate from one pass (``_OneRow.pair``): the two one-row sums
 bit for bit, each of its own degree and tail rows, with z = (x - c) / sqrt(s)
 made once where both sweep the same centres.
 ``_clenshaw`` is the one evaluator of every Chebyshev series: numpy's
@@ -208,48 +209,54 @@ class _Proxies:
         c = self.centers
         return float(c.min()), float(c.max()), float(np.abs(self.weights).sum())
 
-    def sweep(self, x: np.ndarray, s: float, density: bool) -> np.ndarray:
-        """_gauss_sweep of the centres on a 1-D x of few rows, by the module's one-row contract.
 
-        The proxies are of _gauss_fit's degree p, and their 2^-52 bound
-        (_proxy_reach) is of the scale sum |w|, over sqrt(2 pi s) for the density.
-        """
-        c, w = self._swept(math.sqrt(s), density)
-        return self._dense_tail(_gauss_sweep(x, c, w, s, density), c, x, s, density)
+class _OneRow:
+    """A memo's one-row sums at one s. Per kernel, on first use, all they depend on but x: the
+    centres swept, the proxies of _gauss_fit's degree p where they save _PROXY_GAIN kernel
+    terms a row, else the centres; and the tail level, 2^-20 of the scale sum |w| (over
+    sqrt(2 pi s) for the density), which the proxies' 2^-52 bound (_proxy_reach) is of."""
 
-    def pair(self, x: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """sweep(x, s, False) and sweep(x, s, True), bit for bit, in one pass over a 1-D x of few
-        rows: each of its own degree and tail rows, z = (x - c) / sqrt(s) made once for both
-        where they sweep the same centres."""
-        root = math.sqrt(s)
-        (c, w), (slope_c, _) = self._swept(root, False), self._swept(root, True)
-        if c is not slope_c:
-            return self.sweep(x, s, False), self.sweep(x, s, True)
-        z = (x[:, None] - c[None, :]) / np.sqrt(s)  # _gauss_sweep's kernels on its one chunk
-        value, slope = ndtr(z) @ w, np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi * s) @ w
-        return self._dense_tail(value, c, x, s, False), self._dense_tail(slope, c, x, s, True)
+    def __init__(self, proxies: _Proxies, s: float):
+        self.proxies, self.s, self.root = proxies, s, math.sqrt(s)
 
-    def _swept(self, root: float, density: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The centres and weights a one-row sum at sqrt(s) = root sweeps: the proxies of its
-        degree where they save _PROXY_GAIN kernel terms a row, else the centres."""
-        if self._saved >= _PROXY_GAIN:  # else no degree can pay
-            lo, hi, _ = self.box
-            p = _proxy_degree(0.5 * (hi - lo) / root, density)
-            if self.centers.size - (p + 1) >= _PROXY_GAIN:
-                return self(p)
-        return self.centers, self.weights
+    value = cached_property(lambda self: self._kernel(False))
+    slope = cached_property(lambda self: self._kernel(True))
 
-    def _dense_tail(self, out: np.ndarray, swept: np.ndarray, x: np.ndarray, s: float,
-                    density: bool) -> np.ndarray:
-        """out, x's sums over the centres swept, with a proxy sum's rows at most 2^-20 of the
-        scale swept densely."""
-        if swept is self.centers:
-            return out
-        tail = 2.0 ** -20 * self.box[2] / (math.sqrt(2.0 * math.pi) * math.sqrt(s) if density
-                                           else 1.0)
-        if any(abs(v) <= tail for v in out.tolist()):  # a Python loop: few rows
+    def _kernel(self, density: bool) -> tuple[np.ndarray, np.ndarray, float]:
+        """The centres and weights swept, and the tail level: -1.0, no row, for the centres."""
+        proxies = self.proxies
+        if proxies._saved >= _PROXY_GAIN:  # else no degree can pay
+            lo, hi, total = proxies.box
+            p = _proxy_degree(0.5 * (hi - lo) / self.root, density)
+            if proxies.centers.size - (p + 1) >= _PROXY_GAIN:
+                norm = math.sqrt(2.0 * math.pi) * self.root if density else 1.0
+                return (*proxies(p), 2.0 ** -20 * total / norm)
+        return proxies.centers, proxies.weights, -1.0
+
+    def sweep(self, x: np.ndarray, density: bool) -> np.ndarray:
+        """_gauss_sweep of the centres on a 1-D x of few rows, by the module's one-row contract."""
+        c, w, tail = self.slope if density else self.value
+        return self._tail(_gauss_sweep(x, c, w, self.s, density), x, tail, density)
+
+    def pair(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sweep(x, False) and sweep(x, True), bit for bit, in one pass over a 1-D x of few rows:
+        each of its own centres and tail rows, z = (x - c) / sqrt(s) made once for both where
+        they sweep the same centres."""
+        (c, w, tail), (slope_c, slope_w, slope_tail) = self.value, self.slope
+        z = (x[:, None] - c[None, :]) / self.root  # _gauss_sweep's kernels on its one chunk
+        value = ndtr(z) @ w
+        if slope_c is not c:
+            z = (x[:, None] - slope_c[None, :]) / self.root
+        slope = np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi * self.s) @ slope_w
+        return self._tail(value, x, tail, False), self._tail(slope, x, slope_tail, True)
+
+    def _tail(self, out: np.ndarray, x: np.ndarray, tail: float, density: bool) -> np.ndarray:
+        """out, x's sums over the centres swept, with its rows at most tail swept densely: the
+        module's one-row contract."""
+        if tail >= 0.0 and any(abs(v) <= tail for v in out.tolist()):  # a loop: few rows
             dense = np.abs(out) <= tail
-            out[dense] = _gauss_sweep(x[dense], self.centers, self.weights, s, density)
+            out[dense] = _gauss_sweep(x[dense], self.proxies.centers, self.proxies.weights,
+                                      self.s, density)
         return out
 
 
@@ -327,7 +334,7 @@ def _gauss_sum(x, centers: np.ndarray, weights: np.ndarray, s: float,
     if fit is not None:
         out = fit(xs)
     elif proxies is not None and xs.size < _DENSE_SIZE:
-        out = proxies.sweep(xs, s, density)
+        out = _OneRow(proxies, s).sweep(xs, density)
     else:
         out = _gauss_sweep(xs, centers, weights, s, density)
     return out.reshape(x.shape)
@@ -464,11 +471,7 @@ def _invert_one(f, fprime, targets, lo, hi, tol, max_iter, x0):
         if err <= 0.0:
             lo = x
         slope = float(fprime(at)[0])
-        if slope:
-            cand = x - err / slope
-        else:  # a zero slope divides as numpy does, to inf or NaN
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = x - float(np.divide(err, slope))
+        cand = x - err / slope if slope else math.nan  # a zero slope bisects, as numpy's inf would
         bad = not math.isfinite(cand) or cand <= lo or cand >= hi
         nxt = 0.5 * (lo + hi) if bad else cand
         if cand == x or nxt == x:
@@ -748,10 +751,11 @@ def heat_convolve_inverse(fn: MonotoneFn, s: float, y, tol: float, x0=None) -> n
     bracket, within one dense row per target: both under the module's fit
     contract, its scale the sum of jumps.
     The bracket check of a StepFn, and with fewer targets its Newton steps,
-    read one-row sums off its memo of proxies (_Proxies.sweep), under the
-    module's one-row contract, its scale the sum of jumps (over sqrt(2 pi s)
-    for the slope). One target reads F and F' at each iterate from one pass
-    (_Proxies.pair), the same bits as the two sums.
+    read one-row sums off its memo of proxies, under the module's one-row
+    contract, its scale the sum of jumps (over sqrt(2 pi s) for the slope),
+    all from one resolution of the memo at s (_OneRow). One target brackets
+    on floats and reads F and F' at each iterate from one pass (_OneRow.pair),
+    the same bits as the two sums.
     """
     return _heat_inverse(fn, s, y, tol, x0)[0]
 
@@ -767,8 +771,8 @@ def _heat_inverse(fn: MonotoneFn, s: float, y, tol: float, x0):
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         return np.empty(y.shape), None
-    y_min, y_max = y.min(), y.max()
-    ends, root = fn.ends, np.sqrt(s)
+    y_min, y_max = (y.min(), y.max()) if y.size > 1 else 2 * (float(y.flat[0]),)
+    ends, root = fn.ends, math.sqrt(s)
     if ends is not None and fn.lower < y_min and y_max < fn.upper:
         width = fn.upper - fn.lower
         lo = ends[0] + root * ndtri((y_min - fn.lower) / width)
@@ -778,8 +782,8 @@ def _heat_inverse(fn: MonotoneFn, s: float, y, tol: float, x0):
         lo, hi = e0 - 9.0 * root, e1 + 9.0 * root
     step, step_fn = 1.0, isinstance(fn, StepFn)
     # fn.heat_convolve reads fewer than 64 rows of a StepFn, as the bracket's two, off its sweep
-    sweep = fn._proxies.sweep if step_fn else None
-    smoothed = ((lambda x: fn.levels[0] + sweep(x, s, False)) if step_fn
+    rows = _OneRow(fn._proxies, s) if step_fn else None
+    smoothed = ((lambda x: fn.levels[0] + rows.sweep(x, False)) if step_fn
                 else (lambda x: fn.heat_convolve(s, x)))
     while True:
         f_lo, f_hi = smoothed(np.array([lo, hi]))
@@ -796,17 +800,17 @@ def _heat_inverse(fn: MonotoneFn, s: float, y, tol: float, x0):
     if fit is not None:
         f, fprime = (lambda x: fn.levels[0] + fit(x)), (lambda x: fit(x, slope=True))
     elif step_fn and y.size == 1:
-        pair, last = fn._proxies.pair, [None, None]
+        pair, last = rows.pair, [None, None]
 
         def f(x):
-            value, slope = pair(x, s)
+            value, slope = pair(x)
             last[:] = x, slope
             return fn.levels[0] + value
 
         def fprime(x):  # the slope of f's pass at this iterate
-            return last[1] if x is last[0] else sweep(x, s, True)
+            return last[1] if x is last[0] else rows.sweep(x, True)
     elif step_fn and y.size < _DENSE_SIZE:
-        f, fprime = smoothed, (lambda x: sweep(x, s, True))
+        f, fprime = smoothed, (lambda x: rows.sweep(x, True))
     else:
         f, fprime = (lambda x: fn.heat_convolve(s, x)), (lambda x: fn.heat_convolve_deriv(s, x))
     x = invert_increasing(f, fprime, y, lo, hi, tol=tol, x0=x0)

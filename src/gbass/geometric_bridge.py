@@ -9,7 +9,9 @@ each price-side interval J maps onto the arithmetic one I = m / J.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -34,10 +36,10 @@ class GeometricSolution:
 
 
 def component_solution(gsol: GeometricSolution, component_index: int):
-    """The arithmetic solution of one component; ValueError for an index out of range."""
+    """The arithmetic solution of one component; ValueError unless its index is one in range."""
     comps = gsol.arithmetic.component_solutions
-    if not 0 <= component_index < len(comps):
-        raise ValueError(f"component_index {component_index} outside [0, {len(comps)})")
+    if not (isinstance(component_index, Integral) and 0 <= component_index < len(comps)):
+        raise ValueError(f"component_index {component_index} is not in range({len(comps)})")
     return comps[component_index]
 
 
@@ -131,15 +133,16 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
 
     sigma(t, s) = (s / m) F'(x*) where F = fn * gamma_{1-t} and F(x*) = m / s:
     nonnegative by monotonicity. s is a scalar (a float comes back) or an
-    array (an array of its shape comes back). Every price is checked first:
-    a price that is not a positive number or whose m / s lies more than
-    2^-50 of the image width outside the closed image [fn.lower, fn.upper]
-    raises ValueError naming its (flat) index. A price whose m / s is a
-    bound or past it within that slack, as a path's F_t rounds to once it is
-    within half an ulp of a bound and as marginal_flow's atoms m / y land
-    1-4 ulps past one, gets the slope's limit there, 0.0. The others are
-    solved by one heat_convolve_inverse, to 1e-12 on F, started at fn's own
-    inverse, the threshold where the step function passes m / s. One price
+    array (an array of its shape comes back). Every price is checked first,
+    as a float in one loop, scalar or array: a price that is not a positive
+    number or whose m / s lies more than 2^-50 of the image width outside
+    the closed image [fn.lower, fn.upper] raises ValueError naming its
+    (flat) index. A price whose m / s is a bound or past it within that
+    slack, as a path's F_t rounds to once it is within half an ulp of a
+    bound and as marginal_flow's atoms m / y land 1-4 ulps past one, gets
+    the slope's limit there, 0.0. The others are solved by one
+    heat_convolve_inverse, to 1e-12 on F, started at fn's own inverse, the
+    threshold where the step function passes m / s. One price
     takes its slope from the pass that read F at its root, where each Newton
     iterate reads F and F' together; more prices read theirs by one
     heat_convolve_deriv, the same bits. Fewer than 64 prices in a call read
@@ -151,21 +154,22 @@ def sde_volatility(gsol: GeometricSolution, component_index: int, t: float, s):
         raise ValueError(f"time {t} must lie strictly inside (0, 1)")
     fn = component_solution(gsol, component_index).fn
     prices = np.asarray(s, dtype=float)
-    flat = prices.ravel()
-    with np.errstate(divide="ignore"):
-        target = gsol.m / flat
-    slack = 2.0 ** -50 * (fn.upper - fn.lower)
-    ok = (flat > 0.0) & (fn.lower - slack <= target) & (target <= fn.upper + slack)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        at = "" if prices.ndim == 0 else f" at index {i}"
-        why = ("must be a positive number" if not flat[i] > 0.0
-               else f"lies outside the open range of component {component_index}")
-        raise ValueError(f"price {flat[i]}{at} {why}")
-    inner, vol = (fn.lower < target) & (target < fn.upper), np.zeros(flat.shape)
-    x0 = fn.thresholds[np.searchsorted(fn.levels, target[inner]) - 1]
-    x_star, slope = _heat_inverse(fn, 1.0 - t, target[inner], 1e-12, x0)
+    flat, m, slack = prices.ravel(), float(gsol.m), 2.0 ** -50 * (fn.upper - fn.lower)
+    inner, targets = [], []  # the flat indices inside the open image, and their m / s
+    for i, price in enumerate(flat.tolist()):
+        target = m / price if price > 0.0 else math.nan
+        if not fn.lower - slack <= target <= fn.upper + slack:
+            at = "" if prices.ndim == 0 else f" at index {i}"
+            why = ("must be a positive number" if not price > 0.0
+                   else f"lies outside the open range of component {component_index}")
+            raise ValueError(f"price {price}{at} {why}")
+        if fn.lower < target < fn.upper:
+            inner.append(i)
+            targets.append(target)
+    targets, vol = np.array(targets), np.zeros(flat.shape)
+    x0 = fn.thresholds[np.searchsorted(fn.levels, targets) - 1]
+    x_star, slope = _heat_inverse(fn, 1.0 - t, targets, 1e-12, x0)
     if slope is None:
         slope = fn.heat_convolve_deriv(1.0 - t, x_star)
-    vol[inner] = flat[inner] / gsol.m * slope
+    vol[inner] = flat[inner] / m * slope
     return float(vol[0]) if prices.ndim == 0 else vol.reshape(prices.shape)

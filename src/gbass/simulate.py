@@ -256,7 +256,7 @@ def simulate_geometric_sde(gsol: GeometricSolution, component_index: int,
     d/dx log F_t, read from fn.heat_convolve and fn.heat_convolve_deriv.
     S_1 = m / fn(W_1) lies on the terminal atoms, and S never leaves
     (m / upper, m / lower), so clamp_count is 0.
-    A component_index outside the solved components raises ValueError.
+    A component_index that is not an integer in range raises ValueError.
     """
     grid, u, paths = _streams(seed, n_paths, n_steps, 1)
     if not gsol.arithmetic.component_solutions:

@@ -204,7 +204,8 @@ class TestSolveComponent:
        log_spread=st.floats(float(np.log(1e-6)), float(np.log(0.9))))
 def test_dilation_pairs_solve(seed, log_spread):
     # every dilation is a valid pair, down to the smallest spreads, so any
-    # exception (a MeasureError, a ConvergenceError) fails
+    # exception (a MeasureError, a ConvergenceError) fails; its primal equals
+    # its dual to the fit tolerance
     rng = np.random.default_rng(seed)
     mu0 = random_positive_measure(rng, 40)
     mu1 = dilate(mu0, rng, float(np.exp(log_spread)))
@@ -212,6 +213,8 @@ def test_dilation_pairs_solve(seed, log_spread):
     gsol = g.solve_geometric(mu0, mu1, params)
     for csol in gsol.arithmetic.component_solutions:
         assert max(csol.residual_source, csol.residual_target) <= params.fit_tolerance
+    report = g.make_value_report(gsol, 1.0, 1.0)
+    assert abs(report.duality_gap) <= params.fit_tolerance * max(1.0, abs(report.geometric_primal))
 
 
 class TestSolveDecomposed:

@@ -716,7 +716,7 @@ def rows_counter(monkeypatch):
 
     exact: rows asked of the mixture CDF/SF and of StepFn smoothing, on
     whichever path the sum takes, the one-target inversion's pair passes
-    (_Proxies.pair) included. fits: _certified_chebyshev calls, made by
+    (_OneRow.pair) included. fits: _certified_chebyshev calls, made by
     a Gaussian sum or an inversion; fit_rows: the dense rows they take.
     dense: every other row of the dense kernel, the density's included.
     """
@@ -746,10 +746,10 @@ def rows_counter(monkeypatch):
     monkeypatch.setattr(gaussian, "smoothed_cdf", counted(gaussian.smoothed_cdf))
     monkeypatch.setattr(gaussian, "smoothed_sf", counted(gaussian.smoothed_sf))
     monkeypatch.setattr(g.StepFn, "heat_convolve", counted(g.StepFn.heat_convolve))
-    pair = gaussian._Proxies.pair
-    monkeypatch.setattr(gaussian._Proxies, "pair",
-                        lambda proxies, x, s: rows.update(exact=rows["exact"] + x.size)
-                        or pair(proxies, x, s))
+    pair = gaussian._OneRow.pair
+    monkeypatch.setattr(gaussian._OneRow, "pair",
+                        lambda one_row, x: rows.update(exact=rows["exact"] + x.size)
+                        or pair(one_row, x))
     monkeypatch.setattr(gaussian, "_certified_chebyshev", counted_certify)
     monkeypatch.setattr(gaussian, "_gauss_sweep", counted_sweep)
     return rows
@@ -1128,6 +1128,6 @@ class TestOneRowSums:
         dense = [gaussian._gauss_sweep(x, c, fn.jumps, s, density) for density in (False, True)]
         assert np.any(dense[0] <= tail) and np.any(dense[1] <= tail / np.sqrt(2.0 * np.pi * s))
         for rows in [x[i:i + 1] for i in range(x.size)] + [x[:3], x[::40]]:
-            value, slope = proxies.pair(rows, s)
-            assert value.tobytes() == proxies.sweep(rows, s, False).tobytes()
-            assert slope.tobytes() == proxies.sweep(rows, s, True).tobytes()
+            value, slope = gaussian._OneRow(proxies, s).pair(rows)
+            assert value.tobytes() == gaussian._OneRow(proxies, s).sweep(rows, False).tobytes()
+            assert slope.tobytes() == gaussian._OneRow(proxies, s).sweep(rows, True).tobytes()
