@@ -10,8 +10,8 @@ its slope. ``_gauss_fit`` fits that sum once on an interval, where that pays,
 by a chopped Chebyshev series (``_certified_chebyshev``). The fit contract:
 a fitted row is within 2^-48 of the scale sum |w| (over sqrt(2 pi s) for the
 density) of the dense formula, and rows outside the fit's cut, and rows at
-most 2^-20 of the scale, are the dense formula. Where it saves kernel terms,
-the fit samples the sum on p + 1 Chebyshev proxies of the centres with
+most 2^-20 of the scale, are the dense formula. Whenever p + 1 is fewer than
+the centres, the fit samples the sum on p + 1 Chebyshev proxies of them with
 anterpolated weights (``_proxy``), the centre side of a one-level separable
 Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 1991; Fong &
 Darve, J. Comput. Phys. 2009), whose a-priori error bound is part of the
@@ -269,11 +269,11 @@ def _gauss_fit(proxies: _Proxies, s: float, span: np.ndarray, density: bool, row
     its 2 degree + 1 sample rows stay within share (at most all) of rows.
     The rows sample the sum on the p + 1 proxies of _proxy, p the least of
     _PROXY_DEGREES whose a-priori bound uniform in x is at most 2^-52 of the
-    scale, when (2 degree + 1 + n)(p + 1) < (2 degree + 1) n for n centres;
-    the series is then certified to (2^-48 - 2^-52) * scale of the proxy sum,
-    so to 2^-48 * scale of the dense one. Otherwise they sweep the centres.
-    The proxies come from the centres' memo on the first sweep, so a fit
-    that never sweeps builds nothing.
+    scale, whenever p + 1 < n for n centres, whatever the memo holds; the
+    series is then certified to (2^-48 - 2^-52) * scale of the proxy sum, so
+    to 2^-48 * scale of the dense one. Otherwise they sweep the centres. The
+    proxies come from the centres' memo on the first sweep, so a fit that
+    never sweeps builds nothing.
     None comes back for s <= 0, fewer than 64 rows, at most 64 centres, an
     empty cut or no certified fit. The result evaluates a 1-D x by Clenshaw
     inside the cut, of the series or, with slope=True, of its chebder; rows
@@ -292,11 +292,8 @@ def _gauss_fit(proxies: _Proxies, s: float, span: np.ndarray, density: bool, row
     slope_scale = total / np.sqrt(2.0 * np.pi * s)
     scale = slope_scale if density else total
     degree = int(np.ceil(_DEGREE_PER_WIDTH * 0.5 * (b - a) / root))
-    # the proxy pays when its terms on the first degree's rows, anterpolation
-    # included, are fewer than the centres' kernel terms: an anterpolation term
-    # costs less than a kernel term (measured 3-6 ns against 14-22 ns)
-    p, n = _proxy_degree(0.5 * (hi - lo) / root, density), centers.size
-    proxied = (2 * degree + 1 + n) * (p + 1) < (2 * degree + 1) * n
+    p = _proxy_degree(0.5 * (hi - lo) / root, density)
+    proxied = p + 1 < centers.size
     coef = _certified_chebyshev(
         lambda x: _gauss_sweep(x, *(proxies(p) if proxied else (centers, weights)), s, density),
         a, b, degree, (min(share, 1.0) * rows - 1.0) / 2.0,

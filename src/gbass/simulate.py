@@ -12,18 +12,19 @@ fit contract of gbass.gaussian, its scale fn's range. Every path owns a
 counter-based random stream keyed by (seed, path index), bit for bit numpy's
 Philox(key=[seed, index]), so ensembles are reproducible independently of
 chunking; a block's streams are computed at once, as arrays over (path,
-counter). ``_check_simulation`` refuses fewer than one step or path and a seed
-outside [0, 2^64) with a ValueError naming the key, for the engines and for
-the CLI before its solve. A path's last bits can still differ between
-ensembles of different n_paths, by up to 5.5e-15 relative: F_t is read off
-the certified fit from 64 rows on, and a BLAS matrix-vector row rounds apart
-from a lone dot product. Path and flow CSVs hold each value as '%.17g'
+counter). ``_check_simulation`` refuses non-integers, fewer than one step or
+path and a seed outside [0, 2^64) with a ValueError naming the key, for the
+engines and for the CLI before its solve. A path's last bits can still differ
+between ensembles of different n_paths, by up to 5.5e-15 relative: F_t is read
+off the certified fit from 64 rows on, and a BLAS matrix-vector row rounds
+apart from a lone dot product. Path and flow CSVs hold each value as '%.17g'
 formats it, byte for byte, computed for whole blocks of values at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtri
@@ -152,12 +153,13 @@ def _path_uniforms(seed: int, index, count: int) -> np.ndarray:
 
 
 def _check_simulation(n_steps: int, n_paths: int, seed: int) -> None:
-    """Refuse fewer than one step or path, or a seed outside [0, 2^64), naming the key."""
-    for key, value, ok in (("n_steps", n_steps, n_steps >= 1), ("n_paths", n_paths, n_paths >= 1),
-                           ("seed", seed, 0 <= seed < 2 ** 64)):
-        if not ok:
-            wanted = "lie in [0, 2**64)" if key == "seed" else "be at least 1"
-            raise ValueError(f"simulation key {key!r} must {wanted}, got {value!r}")
+    """Refuse a step count, path count or seed that is not an Integral (a seed of 7.5 ran the
+    streams of 7), fewer than one step or path, or a seed outside [0, 2^64), naming the key."""
+    for key, value in (("n_steps", n_steps), ("n_paths", n_paths), ("seed", seed)):
+        is_seed = key == "seed"
+        if not (isinstance(value, Integral) and (0 <= value < 2 ** 64 if is_seed else value >= 1)):
+            wanted = "in [0, 2**64)" if is_seed else "of at least 1"
+            raise ValueError(f"simulation key {key!r} must be an integer {wanted}, got {value!r}")
 
 
 def _uniform_blocks(seed: int, n_paths: int, count: int):
@@ -306,7 +308,8 @@ def ensemble_stats(ens: PathEnsemble, reference_marginals=None) -> SimulationSta
     w = ens.weights
     total = w.sum()
     means = (w @ ens.paths) / total
-    variances = (w @ (ens.paths - means[None, :]) ** 2) / total
+    variances = sum(w[i:i + _CHUNK] @ (ens.paths[i:i + _CHUNK] - means) ** 2  # per path block,
+                    for i in range(0, ens.n_paths, _CHUNK)) / total  # no whole-size temporary
     weight_mean = float(np.mean(w))
     weight_se = float(np.std(w) / np.sqrt(w.size))
 

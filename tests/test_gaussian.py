@@ -1018,39 +1018,93 @@ class TestProxy:
         scale = np.sum(np.abs(w)) / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
         assert np.max(err) <= (bound + 2.0 ** -50) * scale
 
-    def test_every_fit_of_a_solve_meets_the_dense_formula(self, monkeypatch):
-        # the 1001-atom bench pair's solve, whose fits sample on proxies; each
-        # certified fit is checked at 1000 points drawn in its cut
-        cuts, fits, proxies = [], [], []
-        certify, fit, proxy = (gaussian._certified_chebyshev, gaussian._gauss_fit,
-                               gaussian._proxy)
+    @staticmethod
+    def record_fits(monkeypatch) -> list:
+        """Record each certified fit as (centres, weights, s, density, cut, evaluate, proxied)."""
+        cuts, fits, degrees = [], [], []
+        certify, fit, call = (gaussian._certified_chebyshev, gaussian._gauss_fit,
+                              gaussian._Proxies.__call__)
 
         def recorded_certify(evaluate, a, b, *args):
             cuts.append((a, b))
             return certify(evaluate, a, b, *args)
 
         def recorded_fit(memo, s, span, density, *args):
+            degrees.clear()
             evaluate = fit(memo, s, span, density, *args)
             if evaluate is not None:
-                fits.append((memo.centers, memo.weights, s, density, cuts[-1], evaluate))
+                fits.append((memo.centers, memo.weights, s, density, cuts[-1], evaluate,
+                             bool(degrees)))
             return evaluate
 
-        def recorded_proxy(*args):
-            proxies.append(args[-1])
-            return proxy(*args)
+        def recorded_call(memo, degree):
+            degrees.append(degree)
+            return call(memo, degree)
 
         monkeypatch.setattr(gaussian, "_certified_chebyshev", recorded_certify)
         monkeypatch.setattr(gaussian, "_gauss_fit", recorded_fit)
-        monkeypatch.setattr(gaussian, "_proxy", recorded_proxy)
-        solve_bench_pair(1001)
-        # measured: 17 proxies, at least one per inversion of each of the 7 outer iterations
-        assert len(proxies) >= 14 and len(fits) >= len(proxies)
+        monkeypatch.setattr(gaussian._Proxies, "__call__", recorded_call)
+        return fits
+
+    @staticmethod
+    def assert_dense_formula(fits):
+        """Each fit within 2^-48 of its scale of the dense sweep, at 1000 points drawn in its cut."""
         rng = np.random.default_rng(24)
-        for centers, weights, s, density, (a, b), evaluate in fits:
+        for centers, weights, s, density, (a, b), evaluate, _ in fits:
             x = rng.uniform(a, b, 1000)
             want = gaussian._gauss_sweep(x, centers, weights, s, density)
             scale = np.sum(np.abs(weights)) / (np.sqrt(2.0 * np.pi * s) if density else 1.0)
             assert np.max(np.abs(evaluate(x) - want)) <= 2.0 ** -48 * scale
+
+    def test_every_fit_of_a_solve_meets_the_dense_formula(self, monkeypatch):
+        # the 1001-atom bench pair's solve, whose fits sample on proxies
+        fits = self.record_fits(monkeypatch)
+        solve_bench_pair(1001)
+        # measured: 18 fits, all on proxies, at least one per inversion of each of 7 outer iterations
+        assert sum(fit[-1] for fit in fits) >= 14
+        self.assert_dense_formula(fits)
+
+    @pytest.mark.parametrize("grid_size", [201, 1001])
+    def test_every_fit_of_the_path_engines_meets_the_dense_formula(self, request, monkeypatch,
+                                                                    grid_size):
+        # 2000 paths x 10 steps: a fit of F_t at each step, and of its slope for the SDE
+        gsol = request.getfixturevalue(f"bench_{grid_size}")
+        fits = self.record_fits(monkeypatch)
+        g.simulate_geometric_weighted(gsol, 10, 2000, 7)
+        g.simulate_geometric_sde(gsol, 0, 10, 2000, 7)
+        # every one of the 28 fits samples on proxies, fewer than the centres at both sizes
+        assert len(fits) == 28 and all(fit[-1] for fit in fits)
+        self.assert_dense_formula(fits)
+
+    @pytest.mark.parametrize("s", [0.9, 0.5, 0.1])
+    def test_a_fit_does_not_depend_on_the_memo(self, bench_1001, s):
+        # a memo warmed at other s already holds this s's proxy degrees; a fresh one holds
+        # none, and builds them for its own fits
+        fn = bench_1001.arithmetic.component_solutions[0].fn
+        fresh, warmed = g.StepFn(fn.thresholds, fn.levels), g.StepFn(fn.thresholds, fn.levels)
+        x = np.linspace(fn.thresholds[0], fn.thresholds[-1], 2000)
+        for other in (1.0, 0.8, 0.6, 0.4, 0.12, 0.08):
+            warmed.heat_convolve(other, x)
+            warmed.heat_convolve_deriv(other, x)
+        half = 0.5 * (fn.thresholds[-1] - fn.thresholds[0]) / np.sqrt(s)
+        degrees = {gaussian._proxy_degree(half, density) for density in (False, True)}
+        assert degrees <= warmed._proxies._built.keys() and not fresh._proxies._built
+        for method in ("heat_convolve", "heat_convolve_deriv"):
+            want = getattr(fresh, method)(s, x)
+            assert getattr(warmed, method)(s, x).tobytes() == want.tobytes()
+        assert fresh._proxies._built.keys() == degrees
+
+    def test_the_sde_engine_sweeps_few_kernel_terms(self, bench_1001, monkeypatch):
+        terms, sweep = [0], gaussian._gauss_sweep
+
+        def counted(x, centers, *args):
+            terms[0] += x.size * centers.size
+            return sweep(x, centers, *args)
+
+        monkeypatch.setattr(gaussian, "_gauss_sweep", counted)
+        g.simulate_geometric_sde(bench_1001, 0, 10, 2000, 7)
+        # measured 165 345; 582 841 when a fit charged the anterpolation of every centre
+        assert terms[0] <= 250_000
 
 
 class TestOneRowSums:

@@ -70,6 +70,17 @@ def test_log_quadratic_variation_in_path_blocks_keeps_its_bits(ensembles, engine
 
 
 @pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_variances_in_path_blocks_match_the_whole_array_formula(ensembles, engine):
+    # ensemble_stats sums the weighted squared deviations a block of paths at a time
+    ens = ensembles[engine]
+    w = ens.weights
+    means = (w @ ens.paths) / w.sum()
+    whole = (w @ (ens.paths - means) ** 2) / w.sum()
+    assert ens.n_paths >= 3 * simulate._CHUNK and ens.n_paths % simulate._CHUNK
+    np.testing.assert_allclose(g.ensemble_stats(ens).variances, whole, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
 def test_gbm_log_quadratic_variation_at_100_steps(bench_201, engine):
     # 20 000 paths x 100 steps: both engines together take about 1.1 s on a 2-core host
     check_gbm_log_quadratic_variation(run_engine(engine, bench_201, 100, N_PATHS, SEED))
@@ -192,6 +203,26 @@ def test_seed_outside_uint64_raises(bench_201, engine, seed):
             g.simulate_arithmetic(bench_201.arithmetic, 3, 10, seed)
         else:
             run_engine(engine, bench_201, 3, 10, seed)
+
+
+@pytest.mark.parametrize("key, n_steps, n_paths, seed", [
+    ("n_steps", 3.0, 10, SEED), ("n_paths", 3, 10.0, SEED), ("seed", 3, 10, 7.5),
+    ("seed", 3, 10, 7.0), ("seed", 3, 10, "7")])
+@pytest.mark.parametrize("engine", ["arithmetic", "weighted", "sde"])
+def test_a_count_or_seed_that_is_not_an_integer_raises(bench_201, engine, key, n_steps, n_paths,
+                                                        seed):
+    # a seed of 7.5 ran the streams of seed 7, and a float count failed inside numpy
+    with pytest.raises(ValueError, match=f"simulation key '{key}' must be an integer"):
+        if engine == "arithmetic":
+            g.simulate_arithmetic(bench_201.arithmetic, n_steps, n_paths, seed)
+        else:
+            run_engine(engine, bench_201, n_steps, n_paths, seed)
+
+
+@pytest.mark.parametrize("engine", ["weighted", "sde"])
+def test_numpy_integer_counts_and_seed_run_as_ints(bench_201, engine):
+    ens = run_engine(engine, bench_201, np.int64(3), np.uint64(10), np.uint64(SEED))
+    assert np.array_equal(ens.paths, run_engine(engine, bench_201, 3, 10, SEED).paths)
 
 
 def test_reused_stream_matches_a_fresh_one_per_path(monkeypatch):
